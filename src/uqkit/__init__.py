@@ -22,21 +22,15 @@ from .ccc import (
     evaluate,
 )
 from .distill import (
-    CascadeExample,
     ConfidenceModel,
     TrainConfig,
-    build_cascade_input,
     confidence_loss,
     confidence_loss_grad,
-    multilabel_confidence_loss,
-    predict_confidence,
     train_confidence_model,
 )
 from .ensemble import (
-    EnsembleOutput,
     actual_class_confidence,
     average_probs,
-    soften_ensemble,
     temperature_scale,
 )
 from .records import (
@@ -70,7 +64,6 @@ from .synth import (
 __all__ = [
     "AucccReport",
     "CCCCurve",
-    "CascadeExample",
     "ConfidenceConfusion",
     "ConfidenceDist",
     "ConfidenceModel",
@@ -78,7 +71,6 @@ __all__ = [
     "DEFAULT_UDIST_CONFIG",
     "DegenerateOutcomesError",
     "DistTag",
-    "EnsembleOutput",
     "MultiLabelRecord",
     "OutcomeSet",
     "PredictionRecord",
@@ -96,7 +88,6 @@ __all__ = [
     "average_probs",
     "binarize_multilabel",
     "brier_score",
-    "build_cascade_input",
     "ccc_curve",
     "confidence_loss",
     "confidence_loss_grad",
@@ -109,11 +100,8 @@ __all__ = [
     "gen_outcomes",
     "gen_udist_task",
     "max_softmax_confidence",
-    "multilabel_confidence_loss",
     "parse_multilabel_records",
     "parse_records",
-    "predict_confidence",
-    "soften_ensemble",
     "temperature_scale",
     "train_confidence_model",
     "write_records_csv",

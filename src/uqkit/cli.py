@@ -119,25 +119,29 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_ensemble(args) -> int:
-    paths = [Path(p) for p in args.inputs]
-    members = load_member_records(paths)
-    ids, probs, trues, tags = align_members(members)
-    merged = []
-    for i, rid in enumerate(ids):
-        softened = temperature_scale(average_probs(probs[i]), args.temperature)
-        vec = tuple(float(v) for v in softened)
-        merged.append(
+def _softened_records(ids, softened, trues, tags, confidence=None) -> list[PredictionRecord]:
+    """One record per softened (n, K) row; confidence defaults to the row maximum."""
+    records = []
+    for i, row in enumerate(softened.tolist()):
+        vec = tuple(row)
+        records.append(
             PredictionRecord(
-                instance_id=rid,
+                instance_id=ids[i],
                 pred_label=first_argmax(vec),
                 probs=vec,
                 true_label=trues[i],
-                confidence=max(vec),
+                confidence=max(vec) if confidence is None else float(confidence[i]),
                 dist_tag=tags[i],
             )
         )
-    _emit(write_records_jsonl(merged), args.out)
+    return records
+
+
+def cmd_ensemble(args) -> int:
+    members = load_member_records([Path(p) for p in args.inputs])
+    ids, probs, trues, tags = align_members(members)
+    softened = temperature_scale(average_probs(probs), args.temperature)
+    _emit(write_records_jsonl(_softened_records(ids, softened, trues, tags)), args.out)
     return 0
 
 
@@ -176,21 +180,10 @@ def cmd_distill(args) -> int:
         feats, features, member_probs, _labels, tags = _aligned_task(args.data, args.ensemble_dirs)
         inputs = cascade_inputs(features, member_probs, args.temperature)
         conf = model.forward(inputs)[:, 0]
-        out_records = []
-        for i, rec in enumerate(feats):
-            softened = temperature_scale(average_probs(member_probs[i]), args.temperature)
-            vec = tuple(float(v) for v in softened)
-            out_records.append(
-                PredictionRecord(
-                    instance_id=rec.instance_id,
-                    pred_label=first_argmax(vec),
-                    probs=vec,
-                    true_label=rec.true_label,
-                    confidence=float(conf[i]),
-                    dist_tag=tags[i],
-                )
-            )
-        _emit(write_records_jsonl(out_records), args.out)
+        softened = inputs[:, -member_probs.shape[-1] :]
+        ids = [rec.instance_id for rec in feats]
+        trues = [rec.true_label for rec in feats]
+        _emit(write_records_jsonl(_softened_records(ids, softened, trues, tags, conf)), args.out)
         return 0
 
     if args.train is None:
@@ -198,15 +191,14 @@ def cmd_distill(args) -> int:
     if args.out is None:
         raise ValueError("--train needs --out for the model file")
     _feats, features, member_probs, labels, _tags = _aligned_task(args.train, args.ensemble_dirs)
-    examples = make_cascade_examples(features, member_probs, labels, args.temperature_train)
+    data = make_cascade_examples(features, member_probs, labels, args.temperature_train)
     config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=_resolve_seed(args, default=0),
-        train_temperature=args.temperature_train,
     )
-    model = train_confidence_model(examples, config)
+    model = train_confidence_model(data, config)
     for epoch, loss in enumerate(model.epoch_losses):
         print(f"epoch {epoch}: mean confidence loss {loss:.6f}", file=sys.stderr)
     Path(args.out).write_text(model.to_json())
@@ -356,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ensemble member record files or directories of them",
     )
     p_dist.add_argument(
-        "--temperature-train", type=float, default=8.0,
+        "--temperature-train", type=float, default=TrainConfig.train_temperature,
         help="softening temperature for targets and training inputs",
     )
     p_dist.add_argument(

@@ -7,6 +7,11 @@ without ground truth at training time only, the trained model serves as
 its stand-in at inference, scoring each prediction with a confidence in
 (0, 1).
 
+Cascade data is built for all rows at once: (n, d) features and
+(n, M, K) member probabilities give an (n, d + K) input matrix whose last
+K columns are the softened ensemble means, and the training targets are
+an (n,) vector.
+
 The model itself is deliberately plain: fully connected layers with tanh
 hidden activations and a sigmoid output, trained by mini-batch gradient
 descent on the confidence loss (binary cross entropy against the soft
@@ -19,11 +24,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .ensemble import average_probs, temperature_scale
+from .ensemble import actual_class_confidence, average_probs, temperature_scale
 from .rng import PortableRng
 
 MODEL_FORMAT = "udist-model-v1"
@@ -56,37 +61,6 @@ def confidence_loss_grad(s: float, p_t: float) -> float:
     return -p_t / sc + (1.0 - p_t) / (1.0 - sc)
 
 
-def multilabel_confidence_loss(s: Sequence[float], p_t: Sequence[float]) -> float:
-    """Confidence loss averaged over classes."""
-    if len(s) != len(p_t):
-        raise ValueError(f"{len(s)} scores vs {len(p_t)} targets")
-    if len(s) == 0:
-        raise ValueError("empty score vector")
-    return float(np.mean([confidence_loss(si, ti) for si, ti in zip(s, p_t)]))
-
-
-def build_cascade_input(features: Sequence[float], softened_probs: Sequence[float]) -> np.ndarray:
-    """Concatenate instance features with the softened probability vector."""
-    f = np.asarray(features, dtype=np.float64)
-    p = np.asarray(softened_probs, dtype=np.float64)
-    if f.size == 0 or p.size == 0:
-        raise ValueError("features and softened probabilities must be non-empty")
-    return np.concatenate([f, p])
-
-
-@dataclass(frozen=True)
-class CascadeExample:
-    """One training example: features, softened ensemble probs, soft target."""
-
-    features: np.ndarray
-    softened_probs: np.ndarray
-    target: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.target < 1.0):
-            raise ValueError(f"target must lie strictly in (0, 1), got {self.target}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters; the defaults fit the bundled synthetic task.
@@ -94,21 +68,24 @@ class TrainConfig:
     Plain full-batch descent on a constant-target dataset decreases the
     loss monotonically for learning rates up to about 0.25; the larger
     default relies on the step decay to settle.
+
+    ``train_temperature`` is the softening temperature that produces the
+    training data; training itself only sees the softened arrays, so it is
+    a class constant, not a field.
     """
+
+    train_temperature: ClassVar[float] = 8.0
 
     learning_rate: float = 1.0
     epochs: int = 200
     batch_size: int = 64
     seed: int = 0
-    train_temperature: float = 8.0
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN
     lr_decay: float = 0.1  # multiplier applied at 1/2 and 3/4 of the epochs
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
-        if self.train_temperature <= 0:
-            raise ValueError("train_temperature must be positive")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must lie in (0, 1]")
 
@@ -173,17 +150,30 @@ class ConfidenceModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfidenceModel":
+        """Load a model file; raises ValueError if it does not follow the schema."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"model file holds a JSON {type(obj).__name__}, not an object")
         if obj.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format: {obj.get('format')!r}")
+        for key in ("layer_sizes", "weights", "biases"):
+            if not isinstance(obj.get(key), list):
+                raise ValueError(f"model file needs a list under {key!r}")
         sizes = obj["layer_sizes"]
-        weights = []
-        biases = []
-        for i in range(len(sizes) - 1):
-            w = np.asarray(obj["weights"][i], dtype=np.float64).reshape(sizes[i], sizes[i + 1])
-            b = np.asarray(obj["biases"][i], dtype=np.float64)
-            weights.append(w)
-            biases.append(b)
+        n_layers = len(sizes) - 1
+        if len(obj["weights"]) != n_layers or len(obj["biases"]) != n_layers:
+            raise ValueError(
+                f"model file has {len(obj['weights'])} weight and {len(obj['biases'])} "
+                f"bias arrays for {n_layers} layers"
+            )
+        try:
+            weights = [
+                np.asarray(w, dtype=np.float64).reshape(sizes[i], sizes[i + 1])
+                for i, w in enumerate(obj["weights"])
+            ]
+            biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
+        except TypeError as exc:
+            raise ValueError(f"model file has non-numeric parameters: {exc}") from None
         return cls(weights, biases)
 
 
@@ -208,18 +198,6 @@ def init_confidence_model(
         weights.append(w)
         biases.append(np.zeros(fan_out))
     return ConfidenceModel(weights, biases)
-
-
-def predict_confidence(model: ConfidenceModel, x: Sequence[float]) -> float:
-    """Confidence for one cascade input vector, strictly inside (0, 1)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != model.input_dim:
-        raise ValueError(
-            f"input width {arr.shape[0] if arr.ndim == 1 else arr.shape} does not "
-            f"match model input dim {model.input_dim}"
-        )
-    out = model.forward(arr.reshape(1, -1))
-    return float(out[0, 0])
 
 
 def loss_and_grads(
@@ -267,8 +245,14 @@ def loss_and_grads(
     return loss, grads
 
 
-def train_confidence_model(data: Sequence[CascadeExample], config: TrainConfig) -> ConfidenceModel:
-    """Fit a confidence model to cascade examples by mini-batch gradient descent.
+def train_confidence_model(
+    data: tuple[np.ndarray, np.ndarray], config: TrainConfig
+) -> ConfidenceModel:
+    """Fit a confidence model to ``(inputs, targets)`` by mini-batch gradient descent.
+
+    ``inputs`` is the (n, d + K) cascade matrix and ``targets`` the (n,)
+    soft targets, each strictly inside (0, 1), as returned by
+    :func:`make_cascade_examples`.
 
     Deterministic given the seed: weight initialization and the per-epoch
     shuffles both come from the portable generator. Targets are clamped
@@ -277,11 +261,15 @@ def train_confidence_model(data: Sequence[CascadeExample], config: TrainConfig) 
     at the half and three-quarter epoch marks. Raises ArithmeticError if
     the loss goes non-finite.
     """
-    if len(data) == 0:
+    x, t = (np.asarray(a, dtype=np.float64) for a in data)
+    if x.ndim != 2 or t.ndim != 1 or x.shape[0] != t.shape[0]:
+        raise ValueError(f"need (n, d) inputs and (n,) targets, got {x.shape} and {t.shape}")
+    if x.shape[0] == 0:
         raise ValueError("no training examples given")
-    x = np.stack([build_cascade_input(ex.features, ex.softened_probs) for ex in data])
-    t = np.array([ex.target for ex in data], dtype=np.float64).reshape(-1, 1)
-    t = np.clip(t, TARGET_CLAMP, 1.0 - TARGET_CLAMP)
+    outside = ~((t > 0.0) & (t < 1.0))
+    if np.any(outside):
+        raise ValueError(f"targets must lie strictly in (0, 1), got {t[outside][0]}")
+    t = np.clip(t.reshape(-1, 1), TARGET_CLAMP, 1.0 - TARGET_CLAMP)
 
     rng = PortableRng(config.seed)
     model = init_confidence_model(x.shape[1], config.hidden_sizes, 1, rng)
@@ -331,30 +319,18 @@ def make_cascade_examples(
     member_probs: np.ndarray,
     true_labels: np.ndarray,
     temperature: float,
-) -> list[CascadeExample]:
-    """Cascade examples from raw ensemble outputs: average, soften, index by truth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Training data from raw ensemble outputs: average, soften, index by truth.
 
     ``features`` is (n, d), ``member_probs`` is (n, M, K), ``true_labels``
-    is (n,). The target of example i is the softened mean probability of
-    class ``true_labels[i]``.
+    is (n,). Returns the (n, d + K) :func:`cascade_inputs` and the (n,)
+    targets, the softened mean probability of each row's true class.
     """
-    examples = []
-    for i in range(features.shape[0]):
-        softened = temperature_scale(average_probs(member_probs[i]), temperature)
-        examples.append(
-            CascadeExample(
-                features=np.asarray(features[i], dtype=np.float64),
-                softened_probs=softened,
-                target=float(softened[int(true_labels[i])]),
-            )
-        )
-    return examples
+    inputs = cascade_inputs(features, member_probs, temperature)
+    softened = inputs[:, -np.shape(member_probs)[-1] :]
+    return inputs, actual_class_confidence(softened, true_labels)
 
 
 def cascade_inputs(features: np.ndarray, member_probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Prediction-time input matrix: features next to softened ensemble means."""
-    rows = []
-    for i in range(features.shape[0]):
-        softened = temperature_scale(average_probs(member_probs[i]), temperature)
-        rows.append(build_cascade_input(features[i], softened))
-    return np.stack(rows)
+    """(n, d) features next to the (n, K) softened ensemble means of (n, M, K) members."""
+    return np.hstack([features, temperature_scale(average_probs(member_probs), temperature)])

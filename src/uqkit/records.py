@@ -150,11 +150,6 @@ class OutcomeSet:
         ):
             raise ValueError("confidence out of range: all values must lie in [0, 1]")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[bool, float]]) -> "OutcomeSet":
-        pairs = list(pairs)
-        return cls([c for c, _ in pairs], [s for _, s in pairs])
-
     @property
     def entries(self) -> list[tuple[bool, float]]:
         return [(bool(c), float(s)) for c, s in zip(self.correct, self.confidence)]
@@ -384,19 +379,6 @@ def write_records_csv(records: Sequence[PredictionRecord]) -> str:
             row.extend("" for _ in range(n_probs))
         writer.writerow(row)
     return buf.getvalue()
-
-
-def write_multilabel_jsonl(records: Iterable[MultiLabelRecord]) -> str:
-    lines = []
-    for rec in records:
-        obj = {
-            "id": rec.instance_id,
-            "probs": list(rec.per_class_probs),
-            "truths": list(rec.true_labels),
-            "tag": rec.dist_tag.value,
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,6 @@ def align_members(
     tags: list[DistTag] = []
     for rid in ids:
         row = []
-        ref = members[0][0]
         for m, index in enumerate(by_id):
             rec = index.get(rid)
             if rec is None:

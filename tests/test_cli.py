@@ -272,6 +272,33 @@ class TestDistillCli:
         assert code == 1
         assert "--out" in err
 
+    def test_predict_probs_equal_ensemble_probs(self, task_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code, _, err = run(
+            capsys, "distill", "--train", str(task_dir / "train.features.jsonl"),
+            "--ensemble-dirs", *member_args(task_dir, "train"),
+            "--epochs", "1", "--out", str(model_path),
+        )
+        assert code == 0, err
+        for temperature in ("0.5", "3", "8"):
+            code, predicted, err = run(
+                capsys, "distill", "--predict", "--model", str(model_path),
+                "--data", str(task_dir / "test.features.jsonl"),
+                "--ensemble-dirs", *member_args(task_dir, "test"),
+                "--temperature", temperature,
+            )
+            assert code == 0, err
+            code, ensembled, err = run(
+                capsys, "ensemble", *member_args(task_dir, "test"), "--temperature", temperature
+            )
+            assert code == 0, err
+            pairs = list(zip(predicted.splitlines(), ensembled.splitlines(), strict=True))
+            assert len(pairs) == 300
+            for p_line, e_line in pairs:
+                p_rec, e_rec = json.loads(p_line), json.loads(e_line)
+                assert p_rec["id"] == e_rec["id"]
+                assert p_rec["probs"] == e_rec["probs"]
+
     def test_ensemble_dirs_accepts_directory(self, task_dir, tmp_path, capsys):
         # a directory expands to every record file inside, including test files;
         # restrict to a directory holding the train members only
@@ -287,6 +314,77 @@ class TestDistillCli:
             "--out", str(model_path),
         )
         assert code == 0, err
+
+
+class TestDistillInputErrors:
+    """Well-formed files with wrong contents exit 1 with one error line."""
+
+    @pytest.fixture
+    def two_class_task(self, tmp_path):
+        def write(label):
+            feats = tmp_path / f"feats{label}.jsonl"
+            member = tmp_path / f"member{label}.jsonl"
+            write_jsonl(feats, [
+                {"id": "a", "features": [0.1, 0.2], "true": 0},
+                {"id": "b", "features": [0.3, -0.4], "true": label},
+            ])
+            write_jsonl(member, [
+                {"id": "a", "probs": [0.8, 0.2], "pred": 0, "true": 0},
+                {"id": "b", "probs": [0.3, 0.7], "pred": 1, "true": label},
+            ])
+            return feats, member
+        return write
+
+    def assert_one_error_line(self, code, err, fragment):
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert fragment in err
+
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_train_label_outside_classes(self, two_class_task, tmp_path, capsys, label):
+        feats, member = two_class_task(label)
+        model_path = tmp_path / "model.json"
+        code, _, err = run(
+            capsys, "distill", "--train", str(feats), "--ensemble-dirs", str(member),
+            "--epochs", "1", "--out", str(model_path),
+        )
+        self.assert_one_error_line(code, err, f"true label {label} out of range for 2 classes")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("temperature", ["0", "-2", "nan"])
+    def test_train_nonpositive_temperature(self, two_class_task, tmp_path, capsys, temperature):
+        feats, member = two_class_task(1)
+        model_path = tmp_path / "model.json"
+        code, _, err = run(
+            capsys, "distill", "--train", str(feats), "--ensemble-dirs", str(member),
+            "--temperature-train", temperature, "--epochs", "1", "--out", str(model_path),
+        )
+        self.assert_one_error_line(code, err, "temperature must be positive")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "model_doc, fragment",
+        [
+            ({"format": "udist-model-v1"}, "'layer_sizes'"),
+            ([1, 2], "not an object"),
+            ({"format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh",
+              "weights": [[0.0, 0.0, 0.0]], "biases": [[0.0]]}, "reshape"),
+        ],
+        ids=["missing-key", "not-object", "wrong-shape"],
+    )
+    def test_predict_model_schema_errors(self, two_class_task, tmp_path, capsys, model_doc,
+                                         fragment):
+        feats, member = two_class_task(1)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_doc))
+        out_path = tmp_path / "preds.jsonl"
+        code, _, err = run(
+            capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),
+            "--ensemble-dirs", str(member), "--out", str(out_path),
+        )
+        self.assert_one_error_line(code, err, fragment)
+        assert not out_path.exists()
 
 
 class TestDeterminism:

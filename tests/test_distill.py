@@ -5,16 +5,14 @@ import pytest
 
 from oracles import central_difference, relative_error
 from uqkit.distill import (
-    CascadeExample,
     ConfidenceModel,
     TrainConfig,
-    build_cascade_input,
+    cascade_inputs,
     confidence_loss,
     confidence_loss_grad,
     init_confidence_model,
     loss_and_grads,
-    multilabel_confidence_loss,
-    predict_confidence,
+    make_cascade_examples,
     train_confidence_model,
 )
 from uqkit.rng import PortableRng
@@ -62,48 +60,67 @@ class TestConfidenceLossGrad:
             assert relative_error(confidence_loss_grad(s, p_t), fd) < 1e-6
 
 
+def constant_model(n_in, biases):
+    """Zero weights and the given output biases: every input scores sigmoid(bias)."""
+    return ConfidenceModel(
+        [np.zeros((n_in, 2)), np.zeros((2, len(biases)))], [np.zeros(2), np.asarray(biases)]
+    )
+
+
 class TestMultilabelLoss:
+    """The multi-output loss of ``loss_and_grads`` is the mean over outputs and rows."""
+
     def test_two_half_classes(self):
-        assert multilabel_confidence_loss([0.5, 0.5], [0.5, 0.5]) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+        loss, _ = loss_and_grads(constant_model(1, [0.0, 0.0]), [[1.0]], [[0.5, 0.5]])
+        assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_class_reduces_to_scalar_loss(self):
-        assert multilabel_confidence_loss([0.7], [0.4]) == pytest.approx(
-            confidence_loss(0.7, 0.4), abs=1e-12
-        )
+        bias = math.log(0.7 / 0.3)  # sigmoid(bias) = 0.7
+        loss, _ = loss_and_grads(constant_model(1, [bias]), [[1.0]], [0.4])
+        assert loss == pytest.approx(confidence_loss(0.7, 0.4), abs=1e-12)
 
     def test_saturated_match_near_zero(self):
-        assert multilabel_confidence_loss([1.0, 1.0], [1.0, 1.0]) <= 2e-7
+        loss, _ = loss_and_grads(constant_model(1, [40.0, 40.0]), [[1.0]], [[1.0, 1.0]])
+        assert loss <= 2e-7
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="scores vs"):
-            multilabel_confidence_loss([0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            loss_and_grads(constant_model(1, [0.0]), [[1.0]], [[0.5, 0.5]])
 
     def test_permutation_invariant_over_classes(self):
         s = [0.2, 0.5, 0.9]
-        t = [0.3, 0.6, 0.8]
-        assert multilabel_confidence_loss(s, t) == pytest.approx(
-            multilabel_confidence_loss(s[::-1], t[::-1]), abs=1e-12
-        )
+        t = [[0.3, 0.6, 0.8]]
+        logits = [math.log(v / (1.0 - v)) for v in s]
+        forward, _ = loss_and_grads(constant_model(1, logits), [[1.0]], t)
+        backward, _ = loss_and_grads(constant_model(1, logits[::-1]), [[1.0]], [t[0][::-1]])
+        assert forward == pytest.approx(backward, abs=1e-12)
 
 
 class TestCascadeInput:
     def test_concatenation_order(self):
-        out = build_cascade_input([1.0, 2.0], [0.7, 0.3])
-        assert list(out) == [1.0, 2.0, 0.7, 0.3]
+        out = cascade_inputs(np.array([[1.0, 2.0]]), np.array([[[0.7, 0.3]]]), 1.0)
+        assert out.shape == (1, 4)
+        assert list(out[0, :2]) == [1.0, 2.0]
+        assert np.allclose(out[0, 2:], [0.7, 0.3], rtol=0, atol=1e-12)
 
     def test_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="no ensemble members"):
+            cascade_inputs(np.ones((1, 1)), np.empty((1, 0, 2)), 1.0)
         with pytest.raises(ValueError, match="non-empty"):
-            build_cascade_input([], [0.5, 0.5])
-        with pytest.raises(ValueError, match="non-empty"):
-            build_cascade_input([1.0], [])
+            cascade_inputs(np.ones((1, 1)), np.empty((1, 1, 0)), 1.0)
 
     def test_changing_probs_only_changes_suffix(self):
-        a = build_cascade_input([1.0, 2.0], [0.7, 0.3])
-        b = build_cascade_input([1.0, 2.0], [0.1, 0.9])
-        assert list(a[:2]) == list(b[:2])
-        assert list(a[2:]) != list(b[2:])
+        features = np.array([[1.0, 2.0]])
+        a = cascade_inputs(features, np.array([[[0.7, 0.3]]]), 2.0)
+        b = cascade_inputs(features, np.array([[[0.1, 0.9]]]), 2.0)
+        assert list(a[0, :2]) == list(b[0, :2])
+        assert list(a[0, 2:]) != list(b[0, 2:])
+
+    def test_targets_are_softened_true_class(self):
+        members = np.array([[[0.8, 0.2], [0.6, 0.4]], [[0.1, 0.9], [0.3, 0.7]]])
+        inputs, targets = make_cascade_examples(np.eye(2), members, np.array([0, 1]), 3.0)
+        assert inputs.shape == (2, 4)
+        assert targets.tolist() == [inputs[0, 2], inputs[1, 3]]
 
 
 class TestModel:
@@ -111,20 +128,22 @@ class TestModel:
         model = ConfidenceModel(
             [np.zeros((3, 2)), np.zeros((2, 1))], [np.zeros(2), np.zeros(1)]
         )
-        assert predict_confidence(model, [5.0, -2.0, 1.0]) == 0.5
+        assert model.forward([[5.0, -2.0, 1.0]]).tolist() == [[0.5]]
 
     def test_dimension_mismatch(self):
         model = init_confidence_model(4)
         with pytest.raises(ValueError, match="input"):
-            predict_confidence(model, [1.0, 2.0])
+            model.forward([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="input"):
+            model.forward([1.0, 2.0, 3.0, 4.0])
 
     def test_output_strictly_inside_unit_interval(self):
         model = init_confidence_model(3, rng=PortableRng(2))
         rng = PortableRng(3)
-        for _ in range(20):
-            s = predict_confidence(model, [rng.normal() for _ in range(3)])
-            assert 0.0 < s < 1.0
-
+        x = np.array([[rng.normal() for _ in range(3)] for _ in range(20)])
+        s = model.forward(x)
+        assert s.shape == (20, 1)
+        assert np.all((s > 0.0) & (s < 1.0))
     def test_layer_sizes(self):
         model = init_confidence_model(7, hidden_sizes=(5, 4), output_dim=2)
         assert model.layer_sizes == [7, 5, 4, 2]
@@ -140,6 +159,22 @@ class TestModel:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             ConfidenceModel.from_json('{"format": "something-else"}')
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"format": "udist-model-v1"}', "'layer_sizes'"),
+            ("[1, 2]", "not an object"),
+            ('{"format": "udist-model-v1", "layer_sizes": [2, 1], "weights": [], "biases": []}',
+             "0 weight and 0 bias arrays for 1 layers"),
+            ('{"format": "udist-model-v1", "layer_sizes": ["2", 1], "weights": [[0.0, 0.0]], '
+             '"biases": [[0.0]]}', "non-numeric"),
+        ],
+        ids=["missing-key", "not-object", "layer-count", "string-size"],
+    )
+    def test_schema_errors_are_value_errors(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            ConfidenceModel.from_json(doc)
 
 
 class TestNetworkGradients:
@@ -172,35 +207,24 @@ class TestNetworkGradients:
 class TestTraining:
     def make_constant_target_data(self, n=64, c=0.3, seed=4):
         rng = PortableRng(seed)
-        probs = np.array([0.6, 0.4])
-        return [
-            CascadeExample(
-                features=np.array([rng.normal(), rng.normal()]),
-                softened_probs=probs,
-                target=c,
-            )
-            for _ in range(n)
-        ]
+        inputs = np.array([[rng.normal(), rng.normal(), 0.6, 0.4] for _ in range(n)])
+        return inputs, np.full(n, c)
 
     def test_constant_target_convergence(self):
         c = 0.3
-        data = self.make_constant_target_data(c=c)
+        inputs, targets = self.make_constant_target_data(c=c)
         model = train_confidence_model(
-            data, TrainConfig(learning_rate=0.5, epochs=150, batch_size=16, seed=0)
+            (inputs, targets), TrainConfig(learning_rate=0.5, epochs=150, batch_size=16, seed=0)
         )
-        for ex in data:
-            out = predict_confidence(model, build_cascade_input(ex.features, ex.softened_probs))
-            assert abs(out - c) < 0.02
+        assert np.all(np.abs(model.forward(inputs) - c) < 0.02)
 
     def test_single_example_memorization(self):
-        ex = CascadeExample(
-            features=np.array([0.5, -1.0]), softened_probs=np.array([0.8, 0.2]), target=0.65
-        )
+        inputs = np.array([[0.5, -1.0, 0.8, 0.2]])
         model = train_confidence_model(
-            [ex], TrainConfig(learning_rate=0.5, epochs=400, batch_size=1, seed=1)
+            (inputs, np.array([0.65])),
+            TrainConfig(learning_rate=0.5, epochs=400, batch_size=1, seed=1),
         )
-        out = predict_confidence(model, build_cascade_input(ex.features, ex.softened_probs))
-        assert abs(out - 0.65) < 0.01
+        assert abs(model.forward(inputs)[0, 0] - 0.65) < 0.01
 
     def test_loss_non_increasing_on_constant_target_full_batch(self):
         data = self.make_constant_target_data(n=32)
@@ -220,26 +244,26 @@ class TestTraining:
             assert b1.tobytes() == b2.tobytes()
 
     def test_nonfinite_loss_aborts_with_diagnostic(self):
-        bad = CascadeExample(
-            features=np.array([math.nan]), softened_probs=np.array([0.5, 0.5]), target=0.5
-        )
+        bad = (np.array([[math.nan, 0.5, 0.5]]), np.array([0.5]))
         with pytest.raises(ArithmeticError, match="non-finite"):
-            train_confidence_model([bad], TrainConfig(epochs=1, batch_size=1))
+            train_confidence_model(bad, TrainConfig(epochs=1, batch_size=1))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="no training examples"):
-            train_confidence_model([], TrainConfig())
+            train_confidence_model((np.empty((0, 3)), np.empty(0)), TrainConfig())
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n, d\) inputs and \(n,\) targets"):
+            train_confidence_model((np.ones((3, 2)), np.full(2, 0.5)), TrainConfig())
 
     def test_target_range_enforced_on_examples(self):
-        with pytest.raises(ValueError, match="strictly in"):
-            CascadeExample(
-                features=np.array([1.0]), softened_probs=np.array([0.5, 0.5]), target=1.0
-            )
+        for target in (0.0, 1.0, math.nan):
+            data = (np.ones((2, 3)), np.array([0.5, target]))
+            with pytest.raises(ValueError, match="strictly in"):
+                train_confidence_model(data, TrainConfig(epochs=1))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(train_temperature=0.0)
