@@ -56,17 +56,12 @@ from .taskio import (
     align_members,
     collect_member_paths,
     load_member_records,
+    naming_file,
     parse_feature_records,
     write_feature_records,
 )
 
 MODES = ("standard", "ood-unified", "io-auroc", "multi-label")
-
-
-def _infer_format(path: Path, explicit: str | None) -> RecordFormat:
-    if explicit:
-        return RecordFormat(explicit)
-    return RecordFormat.CSV if path.suffix == ".csv" else RecordFormat.JSON_LINES
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,7 +77,7 @@ def _load_outcomes(args):
     if args.mode == "multi-label":
         recs = parse_multilabel_records(data)
         return binarize_multilabel(recs, args.threshold)
-    fmt = _infer_format(path, args.input_format)
+    fmt = RecordFormat(args.input_format) if args.input_format else RecordFormat.for_path(path)
     recs = parse_records(data, fmt)
     source = ConfidenceSource(args.confidence_source)
     if args.mode == "standard":
@@ -119,10 +114,10 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _softened_records(ids, softened, trues, tags, confidence=None) -> list[PredictionRecord]:
-    """One record per softened (n, K) row; confidence defaults to the row maximum."""
+def _probability_records(ids, probs, trues, tags, confidence=None) -> list[PredictionRecord]:
+    """One record per (n, K) probability row; confidence defaults to the row maximum."""
     records = []
-    for i, row in enumerate(softened.tolist()):
+    for i, row in enumerate(probs.tolist()):
         vec = tuple(row)
         records.append(
             PredictionRecord(
@@ -141,12 +136,13 @@ def cmd_ensemble(args) -> int:
     members = load_member_records([Path(p) for p in args.inputs])
     ids, probs, trues, tags = align_members(members)
     softened = temperature_scale(average_probs(probs), args.temperature)
-    _emit(write_records_jsonl(_softened_records(ids, softened, trues, tags)), args.out)
+    _emit(write_records_jsonl(_probability_records(ids, softened, trues, tags)), args.out)
     return 0
 
 
 def _aligned_task(feature_path: str, member_paths: list[str]):
-    feats = parse_feature_records(Path(feature_path).read_bytes())
+    with naming_file(feature_path):
+        feats = parse_feature_records(Path(feature_path).read_bytes())
     if not feats:
         raise RecordError(f"no feature records in {feature_path}")
     members = load_member_records(collect_member_paths(member_paths))
@@ -169,7 +165,7 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
         member_probs[i] = probs[j]
         labels[i] = rec.true_label
         tags.append(member_tags[j])
-    return feats, features, member_probs, labels, tags
+    return [rec.instance_id for rec in feats], features, member_probs, labels, tags
 
 
 def cmd_distill(args) -> int:
@@ -177,20 +173,19 @@ def cmd_distill(args) -> int:
         if args.model is None or args.data is None:
             raise ValueError("--predict needs --model and --data")
         model = ConfidenceModel.from_json(Path(args.model).read_text())
-        feats, features, member_probs, _labels, tags = _aligned_task(args.data, args.ensemble_dirs)
+        ids, features, member_probs, labels, tags = _aligned_task(args.data, args.ensemble_dirs)
         inputs = cascade_inputs(features, member_probs, args.temperature)
         conf = model.forward(inputs)[:, 0]
         softened = inputs[:, -member_probs.shape[-1] :]
-        ids = [rec.instance_id for rec in feats]
-        trues = [rec.true_label for rec in feats]
-        _emit(write_records_jsonl(_softened_records(ids, softened, trues, tags, conf)), args.out)
+        records = _probability_records(ids, softened, labels.tolist(), tags, conf)
+        _emit(write_records_jsonl(records), args.out)
         return 0
 
     if args.train is None:
         raise ValueError("either --train or --predict is required")
     if args.out is None:
         raise ValueError("--train needs --out for the model file")
-    _feats, features, member_probs, labels, _tags = _aligned_task(args.train, args.ensemble_dirs)
+    _ids, features, member_probs, labels, _tags = _aligned_task(args.train, args.ensemble_dirs)
     data = make_cascade_examples(features, member_probs, labels, args.temperature_train)
     config = TrainConfig(
         learning_rate=args.lr,
@@ -253,31 +248,18 @@ def cmd_synth_udist(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, split in (("train", task.train), ("test", task.test)):
+        ids = [f"{name}-{i:05d}" for i in range(len(split))]
+        labels = split.labels.tolist()
         feats = [
-            FeatureRecord(
-                instance_id=f"{name}-{i:05d}",
-                features=tuple(float(v) for v in split.features[i]),
-                true_label=int(split.labels[i]),
-            )
-            for i in range(len(split))
+            FeatureRecord(instance_id=rid, features=tuple(row), true_label=label)
+            for rid, row, label in zip(ids, split.features.tolist(), labels)
         ]
         fpath = out_dir / f"{name}.features.jsonl"
         fpath.write_text(write_feature_records(feats))
         written.append(fpath)
+        tags = [DistTag.IN_DISTRIBUTION] * len(ids)
         for m in range(config.ensemble_size):
-            recs = []
-            for i in range(len(split)):
-                vec = tuple(float(v) for v in split.member_probs[i, m])
-                recs.append(
-                    PredictionRecord(
-                        instance_id=f"{name}-{i:05d}",
-                        pred_label=first_argmax(vec),
-                        probs=vec,
-                        true_label=int(split.labels[i]),
-                        confidence=max(vec),
-                        dist_tag=DistTag.IN_DISTRIBUTION,
-                    )
-                )
+            recs = _probability_records(ids, split.member_probs[:, m], labels, tags)
             mpath = out_dir / f"{name}.member{m}.jsonl"
             mpath.write_text(write_records_jsonl(recs))
             written.append(mpath)

@@ -151,7 +151,10 @@ class ConfidenceModel:
     @classmethod
     def from_json(cls, text: str) -> "ConfidenceModel":
         """Load a model file; raises ValueError if it does not follow the schema."""
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("model file is not valid JSON: nesting too deep") from None
         if not isinstance(obj, dict):
             raise ValueError(f"model file holds a JSON {type(obj).__name__}, not an object")
         if obj.get("format") != MODEL_FORMAT:
@@ -160,6 +163,11 @@ class ConfidenceModel:
             if not isinstance(obj.get(key), list):
                 raise ValueError(f"model file needs a list under {key!r}")
         sizes = obj["layer_sizes"]
+        for size in sizes:
+            if isinstance(size, bool) or not isinstance(size, (int, float)):
+                raise ValueError(f"model file has a non-numeric layer size {size!r}")
+            if not (isinstance(size, int) and size > 0):
+                raise ValueError(f"model file has layer size {size!r}, not a positive integer")
         n_layers = len(sizes) - 1
         if len(obj["weights"]) != n_layers or len(obj["biases"]) != n_layers:
             raise ValueError(

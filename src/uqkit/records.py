@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +49,11 @@ class RecordFormat(str, Enum):
     JSON_LINES = "jsonl"
     CSV = "csv"
 
+    @classmethod
+    def for_path(cls, path) -> "RecordFormat":
+        """The format a record file's name implies: CSV for ``.csv``, else JSON Lines."""
+        return cls.CSV if path.suffix == ".csv" else cls.JSON_LINES
+
 
 def first_argmax(values: Sequence[float]) -> int:
     """Index of the maximum value; lowest index wins on ties."""
@@ -65,9 +70,10 @@ class PredictionRecord:
 
     Raises :class:`RecordError` on construction if any invariant fails:
     probabilities must lie in [0, 1] and sum to 1 within 1e-6, the
-    predicted label must be the (first) argmax of the probabilities,
-    confidence must lie in [0, 1], and in-distribution records must carry
-    a true label.
+    predicted label must be the (first) argmax of the probabilities, a
+    true label must be non-negative and, with probabilities, below their
+    count, confidence must lie in [0, 1], and in-distribution records must
+    carry a true label.
     """
 
     instance_id: str
@@ -95,6 +101,14 @@ class PredictionRecord:
                 raise RecordError(
                     f"record {self.instance_id!r}: pred {self.pred_label} is not the "
                     f"argmax of probs (expected {first_argmax(self.probs)})"
+                )
+        if self.true_label is not None:
+            k = len(self.probs) if self.probs is not None else None
+            if self.true_label < 0 or (k is not None and self.true_label >= k):
+                classes = "" if k is None else f" for {k} classes"
+                raise RecordError(
+                    f"record {self.instance_id!r}: true label {self.true_label} "
+                    f"out of range{classes}"
                 )
         if self.confidence is not None and not (0.0 <= self.confidence <= 1.0):
             raise RecordError(f"record {self.instance_id!r}: confidence out of range")
@@ -172,53 +186,48 @@ class OutcomeSet:
 
 
 def _as_text(stream) -> str:
-    if isinstance(stream, bytes):
-        try:
-            return stream.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise RecordError(f"input is not valid UTF-8: {exc}") from exc
+    if not isinstance(stream, (bytes, str)):
+        stream = stream.read()
     if isinstance(stream, str):
         return stream
-    data = stream.read()
-    return _as_text(data)
+    try:
+        return stream.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordError(f"input is not valid UTF-8: {exc}") from exc
 
 
-def _parse_tag(raw, where: str) -> DistTag:
+def _parse_tag(raw) -> DistTag:
     if raw in (None, "", "id"):
         return DistTag.IN_DISTRIBUTION
     if raw == "ood":
         return DistTag.OUT_OF_DISTRIBUTION
-    raise RecordError(f"{where}: unknown tag {raw!r} (expected 'id' or 'ood')")
+    raise RecordError(f"unknown tag {raw!r} (expected 'id' or 'ood')")
 
 
-def _record_from_fields(where, rid, probs, pred, true, conf, tag) -> PredictionRecord:
-    if rid is None:
-        raise RecordError(f"{where}: missing 'id'")
-    if probs is None and pred is None:
-        raise RecordError(f"{where}: need 'pred' or 'probs'")
-    try:
-        probs_t = tuple(float(p) for p in probs) if probs is not None else None
-        pred_i = int(pred) if pred is not None else first_argmax(probs_t)
-        true_i = int(true) if true is not None else None
-        conf_f = float(conf) if conf is not None else None
-    except (TypeError, ValueError):
-        raise RecordError(f"{where}: non-numeric field value") from None
-    try:
-        return PredictionRecord(
-            instance_id=str(rid),
-            pred_label=pred_i,
-            probs=probs_t,
-            true_label=true_i,
-            confidence=conf_f,
-            dist_tag=_parse_tag(tag, where),
-        )
-    except RecordError as exc:
-        raise RecordError(f"{where}: {exc}") from None
-
-
-def _parse_jsonl(text: str) -> list[PredictionRecord]:
+def _located(rows: Iterable[tuple[str, object]], build: Callable[[object], object]) -> list:
+    """``build(row)`` per ``(where, row)`` pair, in order; errors and repeated ids name where."""
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    first_seen: dict[str, str] = {}
+    for where, row in rows:
+        try:
+            rec = build(row)
+        except RecordError as exc:
+            raise RecordError(f"{where}: {exc}") from None
+        first = first_seen.setdefault(rec.instance_id, where)
+        if first != where:  # every row has its own line number
+            raise RecordError(f"{where}: duplicate id {rec.instance_id!r} (first on {first})")
+        records.append(rec)
+    return records
+
+
+def _jsonl_objects(stream) -> Iterator[tuple[str, dict]]:
+    """Yield ``("line N", object)`` for each non-blank line of a JSON Lines stream.
+
+    Raises :class:`RecordError` naming the line if the text is not UTF-8,
+    a line is not JSON (nesting too deep or an integer too long included),
+    or a line holds anything but a JSON object.
+    """
+    for lineno, line in enumerate(_as_text(stream).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"line {lineno}"
@@ -226,74 +235,101 @@ def _parse_jsonl(text: str) -> list[PredictionRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(f"{where}: malformed JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:
+            raise RecordError(f"{where}: malformed JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise RecordError(f"{where}: expected a JSON object")
-        records.append(
-            _record_from_fields(
-                where,
-                obj.get("id"),
-                obj.get("probs"),
-                obj.get("pred"),
-                obj.get("true"),
-                obj.get("conf"),
-                obj.get("tag"),
-            )
-        )
-    return records
+        yield where, obj
 
 
-_CSV_FIXED = ("id", "pred", "true", "conf", "tag")
+# the scalar fields of a prediction record: JSON keys and leading CSV columns
+_FIELDS = ("id", "pred", "true", "conf", "tag")
+
+
+def _record_from_fields(rid, pred, true, conf, tag, probs) -> PredictionRecord:
+    if rid is None:
+        raise RecordError("missing 'id'")
+    if probs is None and pred is None:
+        raise RecordError("need 'pred' or 'probs'")
+    try:
+        probs_t = tuple(float(p) for p in probs) if probs is not None else None
+        pred_i = int(pred) if pred is not None else first_argmax(probs_t)
+        true_i = int(true) if true is not None else None
+        conf_f = float(conf) if conf is not None else None
+    except (TypeError, ValueError, OverflowError):
+        raise RecordError("non-numeric field value") from None
+    return PredictionRecord(
+        instance_id=str(rid),
+        pred_label=pred_i,
+        probs=probs_t,
+        true_label=true_i,
+        confidence=conf_f,
+        dist_tag=_parse_tag(tag),
+    )
+
+
+def _jsonl_record(obj: dict) -> PredictionRecord:
+    return _record_from_fields(*map(obj.get, _FIELDS), obj.get("probs"))
+
+
+def _csv_record(row: list[str], n_cells: int) -> PredictionRecord:
+    if len(row) != n_cells:
+        raise RecordError(f"expected {n_cells} cells, got {len(row)}")
+    cells = [cell if cell != "" else None for cell in row]
+    prob_cells = cells[len(_FIELDS) :]
+    probs = None
+    if any(c is not None for c in prob_cells):
+        if any(c is None for c in prob_cells):
+            raise RecordError("partial probability vector")
+        try:
+            probs = [float(c) for c in prob_cells]
+        except ValueError:
+            raise RecordError("non-numeric probability cell") from None
+    return _record_from_fields(*cells[: len(_FIELDS)], probs)
 
 
 def _parse_csv(text: str) -> list[PredictionRecord]:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if header[: len(_CSV_FIXED)] != list(_CSV_FIXED):
-        raise RecordError(
-            f"line 1: bad CSV header, expected it to start with {','.join(_CSV_FIXED)}"
-        )
-    n_probs = len(header) - len(_CSV_FIXED)
-    for k in range(n_probs):
-        if header[len(_CSV_FIXED) + k] != f"p{k}":
-            raise RecordError(f"line 1: expected probability column 'p{k}'")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        where = f"line {lineno}"
-        if len(row) != len(header):
-            raise RecordError(f"{where}: expected {len(header)} cells, got {len(row)}")
-        cells = [cell if cell != "" else None for cell in row]
-        rid, pred, true, conf, tag = cells[:5]
-        prob_cells = cells[5:]
-        if any(c is not None for c in prob_cells):
-            if any(c is None for c in prob_cells):
-                raise RecordError(f"{where}: partial probability vector")
-            try:
-                probs = [float(c) for c in prob_cells]
-            except ValueError:
-                raise RecordError(f"{where}: non-numeric probability cell") from None
-        else:
-            probs = None
-        records.append(_record_from_fields(where, rid, probs, pred, true, conf, tag))
-    return records
+        header = next(reader, None)
+        if header is None:
+            return []
+        expected = list(_FIELDS) + [f"p{k}" for k in range(len(header) - len(_FIELDS))]
+        if header != expected:
+            raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
+        rows = ((f"line {n}", row) for n, row in enumerate(reader, start=2) if row)
+        return _located(rows, lambda row: _csv_record(row, len(header)))
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise RecordError(f"line {reader.line_num}: malformed CSV ({exc})") from None
 
 
 def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> list[PredictionRecord]:
     """Parse prediction records from a byte/text stream, preserving order.
 
     Raises :class:`RecordError` naming the offending line on any malformed
-    input or invariant violation.
+    input, invariant violation or repeated instance id.
     """
-    text = _as_text(stream)
     if fmt is RecordFormat.JSON_LINES:
-        return _parse_jsonl(text)
+        return _located(_jsonl_objects(stream), _jsonl_record)
     if fmt is RecordFormat.CSV:
-        return _parse_csv(text)
+        return _parse_csv(_as_text(stream))
     raise ValueError(f"unknown record format: {fmt!r}")
+
+
+def _multilabel_record(obj: dict) -> MultiLabelRecord:
+    if obj.get("id") is None or obj.get("probs") is None or obj.get("truths") is None:
+        raise RecordError("need 'id', 'probs' and 'truths'")
+    try:
+        probs = tuple(float(p) for p in obj["probs"])
+        truths = tuple(int(t) for t in obj["truths"])
+    except (TypeError, ValueError, OverflowError):
+        raise RecordError("non-numeric field value") from None
+    return MultiLabelRecord(
+        instance_id=str(obj["id"]),
+        per_class_probs=probs,
+        true_labels=truths,
+        dist_tag=_parse_tag(obj.get("tag")),
+    )
 
 
 def parse_multilabel_records(stream) -> list[MultiLabelRecord]:
@@ -302,37 +338,7 @@ def parse_multilabel_records(stream) -> list[MultiLabelRecord]:
     One object per line: ``{"id": str, "probs": [...], "truths": [0/1, ...],
     "tag": "id"|"ood"}``.
     """
-    text = _as_text(stream)
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"{where}: malformed JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise RecordError(f"{where}: expected a JSON object")
-        if obj.get("id") is None or obj.get("probs") is None or obj.get("truths") is None:
-            raise RecordError(f"{where}: need 'id', 'probs' and 'truths'")
-        try:
-            probs = tuple(float(p) for p in obj["probs"])
-            truths = tuple(int(t) for t in obj["truths"])
-        except (TypeError, ValueError):
-            raise RecordError(f"{where}: non-numeric field value") from None
-        try:
-            records.append(
-                MultiLabelRecord(
-                    instance_id=str(obj["id"]),
-                    per_class_probs=probs,
-                    true_labels=truths,
-                    dist_tag=_parse_tag(obj.get("tag"), where),
-                )
-            )
-        except RecordError as exc:
-            raise RecordError(f"{where}: {exc}") from None
-    return records
+    return _located(_jsonl_objects(stream), _multilabel_record)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +346,28 @@ def parse_multilabel_records(stream) -> list[MultiLabelRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _jsonl_text(objects: Iterable[dict]) -> str:
+    """Compact JSON Lines, one object per line, newline-terminated unless empty."""
+    lines = [json.dumps(obj, separators=(",", ":")) for obj in objects]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _record_object(rec: PredictionRecord) -> dict:
+    obj: dict = {"id": rec.instance_id}
+    if rec.probs is not None:
+        obj["probs"] = list(rec.probs)
+    obj["pred"] = rec.pred_label
+    if rec.true_label is not None:
+        obj["true"] = rec.true_label
+    if rec.confidence is not None:
+        obj["conf"] = rec.confidence
+    obj["tag"] = rec.dist_tag.value
+    return obj
+
+
 def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
     """Serialize records to JSON Lines with a stable key order."""
-    lines = []
-    for rec in records:
-        obj: dict = {"id": rec.instance_id}
-        if rec.probs is not None:
-            obj["probs"] = list(rec.probs)
-        obj["pred"] = rec.pred_label
-        if rec.true_label is not None:
-            obj["true"] = rec.true_label
-        if rec.confidence is not None:
-            obj["conf"] = rec.confidence
-        obj["tag"] = rec.dist_tag.value
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl_text(_record_object(rec) for rec in records)
 
 
 def write_records_csv(records: Sequence[PredictionRecord]) -> str:
@@ -362,7 +375,7 @@ def write_records_csv(records: Sequence[PredictionRecord]) -> str:
     n_probs = max((len(r.probs) for r in records if r.probs is not None), default=0)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(_CSV_FIXED) + [f"p{k}" for k in range(n_probs)])
+    writer.writerow(list(_FIELDS) + [f"p{k}" for k in range(n_probs)])
     for rec in records:
         row = [
             rec.instance_id,

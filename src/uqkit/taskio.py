@@ -10,14 +10,23 @@ Two file kinds flow through the distillation pipeline:
 
 from __future__ import annotations
 
-import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .records import DistTag, PredictionRecord, RecordError, RecordFormat, parse_records
+from .records import (
+    DistTag,
+    PredictionRecord,
+    RecordError,
+    RecordFormat,
+    _jsonl_objects,
+    _jsonl_text,
+    _located,
+    parse_records,
+)
 
 
 @dataclass(frozen=True)
@@ -31,43 +40,36 @@ class FeatureRecord:
             raise RecordError(f"record {self.instance_id!r}: empty feature vector")
 
 
+def _feature_record(obj: dict) -> FeatureRecord:
+    if any(obj.get(key) is None for key in ("id", "features", "true")):
+        raise RecordError("need 'id', 'features' and 'true' (the class label)")
+    try:
+        features = tuple(float(v) for v in obj["features"])
+        true_label = int(obj["true"])
+    except (TypeError, ValueError, OverflowError):
+        raise RecordError("non-numeric field value") from None
+    return FeatureRecord(instance_id=str(obj["id"]), features=features, true_label=true_label)
+
+
 def parse_feature_records(stream) -> list[FeatureRecord]:
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if not isinstance(stream, str):
-        stream = stream.read()
-        if isinstance(stream, bytes):
-            stream = stream.decode("utf-8")
-    records = []
-    for lineno, line in enumerate(stream.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"{where}: malformed JSON ({exc.msg})") from None
-        if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
-            raise RecordError(f"{where}: need 'id' and 'features'")
-        if "true" not in obj:
-            raise RecordError(f"{where}: need 'true' (the class label)")
-        try:
-            features = tuple(float(v) for v in obj["features"])
-            true_label = int(obj["true"])
-        except (TypeError, ValueError):
-            raise RecordError(f"{where}: non-numeric field value") from None
-        records.append(
-            FeatureRecord(instance_id=str(obj["id"]), features=features, true_label=true_label)
-        )
-    return records
+    """Parse a feature file; raises :class:`RecordError` naming the offending line."""
+    return _located(_jsonl_objects(stream), _feature_record)
 
 
 def write_feature_records(records: Sequence[FeatureRecord]) -> str:
-    lines = []
-    for rec in records:
-        obj = {"id": rec.instance_id, "features": list(rec.features), "true": rec.true_label}
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl_text(
+        {"id": rec.instance_id, "features": list(rec.features), "true": rec.true_label}
+        for rec in records
+    )
+
+
+@contextmanager
+def naming_file(path) -> Iterator[None]:
+    """Prefix a :class:`RecordError` raised inside the block with the file it concerns."""
+    try:
+        yield
+    except RecordError as exc:
+        raise RecordError(f"{path}: {exc}") from None
 
 
 def collect_member_paths(paths: Sequence[str]) -> list[Path]:
@@ -92,8 +94,8 @@ def collect_member_paths(paths: Sequence[str]) -> list[Path]:
 def load_member_records(paths: Sequence[Path]) -> list[list[PredictionRecord]]:
     members = []
     for p in paths:
-        fmt = RecordFormat.CSV if p.suffix == ".csv" else RecordFormat.JSON_LINES
-        members.append(parse_records(p.read_bytes(), fmt))
+        with naming_file(p):
+            members.append(parse_records(p.read_bytes(), RecordFormat.for_path(p)))
     return members
 
 
@@ -103,19 +105,13 @@ def align_members(
     """Align per-member records by instance id, in the first member's order.
 
     Returns ids, probabilities of shape (n, M, K), true labels and tags.
+    Ids are unique within each member, as :func:`parse_records` ensures.
     Raises :class:`RecordError` if any member misses an instance, carries
     no probability vector, or disagrees on the label or tag.
     """
     if len(members) == 0 or len(members[0]) == 0:
         raise RecordError("need at least one non-empty ensemble member")
-    by_id = []
-    for m, recs in enumerate(members):
-        index: dict[str, PredictionRecord] = {}
-        for rec in recs:
-            if rec.instance_id in index:
-                raise RecordError(f"member {m}: duplicate instance id {rec.instance_id!r}")
-            index[rec.instance_id] = rec
-        by_id.append(index)
+    by_id = [{rec.instance_id: rec for rec in recs} for recs in members]
 
     ids = [rec.instance_id for rec in members[0]]
     n_classes = None

@@ -63,6 +63,30 @@ class TestEval:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "name, content, fragment",
+        [
+            ("deep.jsonl", "[" * 200_000 + "\n", "line 1: malformed JSON"),
+            ("dup.jsonl", '{"id":"a","pred":0,"true":0,"conf":0.5}\n' * 2,
+             "line 2: duplicate id 'a'"),
+            ("dup.csv", "id,pred,true,conf,tag\n" + "a,0,0,0.5,id\n" * 2,
+             "line 3: duplicate id 'a'"),
+            ("big.csv", "id,pred,true,conf,tag\na,0,0,0.5," + "x" * 200_000 + "\n",
+             "line 2: malformed CSV"),
+            ("label.jsonl", '{"id":"a","probs":[0.6,0.4],"true":2,"conf":0.5}\n',
+             "true label 2 out of range for 2 classes"),
+        ],
+        ids=["deep-nesting", "duplicate-id", "duplicate-id-csv", "oversized-cell", "label"],
+    )
+    def test_hostile_input_exits_one(self, tmp_path, capsys, name, content, fragment):
+        path = tmp_path / name
+        path.write_text(content)
+        curve_path = tmp_path / "curve.csv"
+        code, out, err = run(capsys, "eval", str(path), "--curve-out", str(curve_path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+        assert not curve_path.exists()
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "eval", "/nonexistent/path.jsonl")
         assert code == 1
@@ -341,15 +365,62 @@ class TestDistillInputErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert fragment in err
 
-    @pytest.mark.parametrize("label", [7, -1])
-    def test_train_label_outside_classes(self, two_class_task, tmp_path, capsys, label):
+    @pytest.mark.parametrize(
+        "command, label",
+        [("train", 7), ("train", -1), ("ensemble", 7), ("ensemble", -1),
+         ("predict", 7), ("predict", -1)],
+        ids=["7", "-1", "ensemble-7", "ensemble--1", "predict-7", "predict--1"],
+    )
+    def test_train_label_outside_classes(self, two_class_task, tmp_path, capsys, command,
+                                         label):
         feats, member = two_class_task(label)
+        out_path = tmp_path / "out"
+        argv = {
+            "train": ["distill", "--train", str(feats), "--ensemble-dirs", str(member),
+                      "--epochs", "1"],
+            "ensemble": ["ensemble", str(member)],
+            "predict": ["distill", "--predict", "--model", str(self.write_model(tmp_path)),
+                        "--data", str(feats), "--ensemble-dirs", str(member)],
+        }[command]
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        self.assert_one_error_line(code, err, f"true label {label} out of range for 2 classes")
+        assert not out_path.exists()
+
+    @staticmethod
+    def write_model(tmp_path):
+        """A valid model for the two-feature, two-class task."""
+        path = tmp_path / "valid-model.json"
+        path.write_text(json.dumps({
+            "format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh",
+            "weights": [[0.0, 0.0, 0.0, 0.0]], "biases": [[0.0]],
+        }))
+        return path
+
+    def test_member_records_without_labels_take_the_feature_label(self, tmp_path, capsys):
+        # out-of-distribution members carry no label, so the feature file's 7 reaches
+        # the output records, which must reject it
+        feats, member = tmp_path / "f.jsonl", tmp_path / "m.jsonl"
+        write_jsonl(feats, [{"id": "a", "features": [0.1, 0.2], "true": 7}])
+        write_jsonl(member, [{"id": "a", "probs": [0.8, 0.2], "tag": "ood"}])
+        out_path = tmp_path / "preds.jsonl"
+        code, _, err = run(
+            capsys, "distill", "--predict", "--model", str(self.write_model(tmp_path)),
+            "--data", str(feats), "--ensemble-dirs", str(member), "--out", str(out_path),
+        )
+        self.assert_one_error_line(code, err, "true label 7 out of range for 2 classes")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("bad_file", ["features", "member"])
+    def test_parse_errors_name_the_file(self, two_class_task, tmp_path, capsys, bad_file):
+        feats, member = two_class_task(1)
+        path = {"features": feats, "member": member}[bad_file]
+        path.write_text(path.read_text() + path.read_text().splitlines()[0] + "\n")
         model_path = tmp_path / "model.json"
         code, _, err = run(
             capsys, "distill", "--train", str(feats), "--ensemble-dirs", str(member),
             "--epochs", "1", "--out", str(model_path),
         )
-        self.assert_one_error_line(code, err, f"true label {label} out of range for 2 classes")
+        self.assert_one_error_line(code, err, f"{path}: line 3: duplicate id 'a'")
         assert not model_path.exists()
 
     @pytest.mark.parametrize("temperature", ["0", "-2", "nan"])
@@ -370,14 +441,17 @@ class TestDistillInputErrors:
             ([1, 2], "not an object"),
             ({"format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh",
               "weights": [[0.0, 0.0, 0.0]], "biases": [[0.0]]}, "reshape"),
+            ({"format": "udist-model-v1", "layer_sizes": [-1, 1], "activation": "tanh",
+              "weights": [[0.0, 0.0, 0.0]], "biases": [[0.0]]}, "not a positive integer"),
+            ("[" * 200_000, "nesting too deep"),
         ],
-        ids=["missing-key", "not-object", "wrong-shape"],
+        ids=["missing-key", "not-object", "wrong-shape", "negative-size", "deep-nesting"],
     )
     def test_predict_model_schema_errors(self, two_class_task, tmp_path, capsys, model_doc,
                                          fragment):
         feats, member = two_class_task(1)
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(model_doc))
+        model_path.write_text(model_doc if isinstance(model_doc, str) else json.dumps(model_doc))
         out_path = tmp_path / "preds.jsonl"
         code, _, err = run(
             capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),

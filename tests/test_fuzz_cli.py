@@ -1,0 +1,145 @@
+"""Mutated input files never break the CLI's exit-code contract.
+
+Each example takes a valid file of one kind, mutates its bytes, runs the
+command that reads it and checks that the command exits 0, 1 or 2 and,
+when it fails, prints exactly one ``error:`` line, no traceback, and
+leaves no output file behind.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from uqkit.cli import main
+
+FUZZ_EXAMPLES = 20  # per case; keeps the whole module to a few seconds
+
+# splices that reach the parsers' edge cases: structure, non-finite and huge
+# numbers, labels outside the classes, deep nesting, bad UTF-8, a CSV cell over
+# the csv module's field size limit
+TOKENS = [
+    b"[" * 5000, b"{", b"}", b"[", b"]", b'"', b",", b":", b"\n", b"\r", b"\xff", b"\x00",
+    b"NaN", b"Infinity", b"-1", b"7", b"0", b"1e999", b"1" * 5000, b"null", b"true",
+    b'"ood"', b'"id"', b"[]", b"{}", b"0.5", b"x" * 140_000,
+]
+
+
+def jsonl(rows) -> bytes:
+    return "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+
+PROBS = [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6], [0.5, 0.3, 0.2]]
+TRUES = [0, 2, 2, 1]
+IDS = ["a", "b", "c", "d"]
+
+RECORDS = jsonl(
+    {"id": rid, "probs": p, "pred": p.index(max(p)), "true": t, "conf": 0.2 + 0.2 * i,
+     "tag": "ood" if i == 3 else "id"}
+    for i, (rid, p, t) in enumerate(zip(IDS, PROBS, TRUES))
+)
+RECORDS_CSV = (
+    "id,pred,true,conf,tag,p0,p1,p2\n"
+    + "".join(
+        f"{rid},{p.index(max(p))},{t},{0.2 + 0.2 * i},id,{p[0]},{p[1]},{p[2]}\n"
+        for i, (rid, p, t) in enumerate(zip(IDS, PROBS, TRUES))
+    )
+).encode()
+MULTI_LABEL = jsonl(
+    {"id": rid, "probs": p, "truths": [int(k == t) for k in range(3)]}
+    for rid, p, t in zip(IDS, PROBS, TRUES)
+)
+MEMBERS = [
+    jsonl({"id": rid, "probs": p, "pred": p.index(max(p)), "true": t}
+          for rid, p, t in zip(IDS, rows, TRUES))
+    for rows in (PROBS, PROBS[1:] + PROBS[:1])
+]
+FEATURES = jsonl(
+    {"id": rid, "features": [0.1 * i, -0.3, 1.0], "true": t}
+    for i, (rid, t) in enumerate(zip(IDS, TRUES))
+)
+MODEL = json.dumps({
+    "format": "udist-model-v1", "layer_sizes": [6, 2, 1], "activation": "tanh",
+    "weights": [[0.1 * k for k in range(-6, 6)], [0.5, -0.5]], "biases": [[0.0, 0.1], [0.2]],
+}).encode()
+
+EVAL = ["eval", "{target}", "--curve-out", "{out}"]
+PREDICT = ["distill", "--predict", "--model", "{model}", "--data", "{features}",
+           "--ensemble-dirs", "{member0}", "{member1}", "--out", "{out}"]
+
+# (file to mutate, its clean content, command line); {out} is the output file
+CASES = {
+    "records-jsonl": ("target.jsonl", RECORDS, EVAL + ["--mode", "ood-unified"]),
+    "records-csv": ("target.csv", RECORDS_CSV, EVAL),
+    "records-max-softmax": ("target.jsonl", RECORDS, EVAL + ["--confidence-source",
+                                                             "max-softmax"]),
+    "multi-label": ("target.jsonl", MULTI_LABEL, EVAL + ["--mode", "multi-label"]),
+    "ensemble-member": ("member0.jsonl", MEMBERS[0],
+                        ["ensemble", "{member0}", "{member1}", "--out", "{out}"]),
+    "features": ("features.jsonl", FEATURES, PREDICT),
+    "predict-member": ("member0.jsonl", MEMBERS[0], PREDICT),
+    "model": ("model.json", MODEL, PREDICT),
+}
+CLEAN = {"member0.jsonl": MEMBERS[0], "member1.jsonl": MEMBERS[1],
+         "features.jsonl": FEATURES, "model.json": MODEL}
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """One to three splices: a token, random bytes or a copy of one of the file's lines."""
+    lines = data.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 24)))
+        piece = draw(st.one_of(
+            st.sampled_from(TOKENS), st.binary(max_size=6), st.sampled_from(lines),
+        ))
+        data = data[:start] + piece + data[end:]
+    return data
+
+
+def run_case(case: str, data: bytes) -> int:
+    name, _clean, argv = CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {Path(n).stem: Path(tmp) / n for n in CLEAN}
+        for n, content in CLEAN.items():
+            (Path(tmp) / n).write_bytes(content)
+        target = Path(tmp) / name
+        target.write_bytes(data)
+        out = Path(tmp) / "out"
+        args = [a.format(out=out, target=target, **paths) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err
+        if code != 0:
+            # outside a test harness a warning would be one more stderr line
+            assert err.startswith("error: ") and err.count("\n") == 1 and not caught, (err, caught)
+            assert not out.exists()
+        return code
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_clean_file_succeeds(case):
+    assert run_case(case, CASES[case][1]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_mutated_file_keeps_exit_contract(case):
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(data=mutations(CASES[case][1]))
+    def check(data):
+        run_case(case, data)
+
+    check()

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from uqkit.records import (
@@ -16,6 +18,7 @@ from uqkit.records import (
     write_records_csv,
     write_records_jsonl,
 )
+from uqkit.taskio import parse_feature_records
 
 
 def rec(rid="r", pred=0, probs=None, true=0, conf=None, tag=DistTag.IN_DISTRIBUTION):
@@ -107,6 +110,64 @@ class TestParsing:
     def test_invalid_utf8(self):
         with pytest.raises(RecordError, match="UTF-8"):
             parse_records(b"\xff\xfe", RecordFormat.JSON_LINES)
+
+    def test_csv_oversized_cell_is_a_record_error(self):
+        limit = csv.field_size_limit()
+        text = "id,pred,true,conf,tag\na,0,0,0.5,id\nb,0,0,0.5," + "x" * (limit + 1) + "\n"
+        with pytest.raises(RecordError, match="line 3: malformed CSV"):
+            parse_records(text, RecordFormat.CSV)
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize(
+        "probs, true, message",
+        [((0.6, 0.4), 2, "true label 2 out of range for 2 classes"),
+         ((0.6, 0.4), -1, "true label -1 out of range for 2 classes"),
+         (None, -1, "true label -1 out of range")],
+        ids=["too-large", "negative", "negative-no-probs"],
+    )
+    def test_true_label_outside_classes(self, probs, true, message):
+        with pytest.raises(RecordError, match=message):
+            rec(probs=probs, true=true, conf=0.5)
+
+
+# one JSON Lines line per file kind: prediction records, multi-label records, features
+JSONL_KINDS = {
+    "records": (parse_records, '{"id":"a","pred":0,"true":0}'),
+    "multi-label": (parse_multilabel_records, '{"id":"a","probs":[0.8],"truths":[1]}'),
+    "features": (parse_feature_records, '{"id":"a","features":[0.5],"true":0}'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JSONL_KINDS))
+class TestJsonLinesReader:
+    """Every JSON Lines file kind goes through the same reader and id check."""
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (b"\xff", "input is not valid UTF-8"),
+            (b"[" * 200_000, r"line 2: malformed JSON \(maximum recursion depth"),
+            (b"{", r"line 2: malformed JSON \("),
+            (b"[1]", "line 2: expected a JSON object"),
+            (b"1" * 5000, r"line 2: malformed JSON \(Exceeds the limit"),
+        ],
+        ids=["utf8", "deep", "truncated", "not-object", "long-int"],
+    )
+    def test_malformed_line(self, kind, second, message):
+        parse, line = JSONL_KINDS[kind]
+        with pytest.raises(RecordError, match=message):
+            parse(line.encode() + b"\n" + second + b"\n")
+
+    def test_duplicate_id_names_both_lines(self, kind):
+        parse, line = JSONL_KINDS[kind]
+        with pytest.raises(RecordError, match=r"line 3: duplicate id 'a' \(first on line 1\)"):
+            parse(f"{line}\n\n{line}\n")
+
+
+def test_csv_duplicate_id_names_both_lines():
+    text = "id,pred,true,conf,tag\na,0,0,0.5,id\nb,0,0,0.5,id\na,0,0,0.5,id\n"
+    with pytest.raises(RecordError, match=r"line 4: duplicate id 'a' \(first on line 2\)"):
+        parse_records(text, RecordFormat.CSV)
 
 
 class TestRoundTrip:
