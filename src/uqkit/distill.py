@@ -196,16 +196,10 @@ def init_confidence_model(
         rng = PortableRng(0)
     sizes = [input_dim] + list(hidden_sizes) + [output_dim]
     weights = []
-    biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        w = np.empty((fan_in, fan_out))
-        for r in range(fan_in):
-            for c in range(fan_out):
-                w[r, c] = rng.uniform(-bound, bound)
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return ConfidenceModel(weights, biases)
+        weights.append(rng.uniform_block(-bound, bound, fan_in * fan_out).reshape(fan_in, fan_out))
+    return ConfidenceModel(weights, [np.zeros(fan_out) for fan_out in sizes[1:]])
 
 
 def loss_and_grads(
@@ -262,8 +256,8 @@ def train_confidence_model(
     soft targets, each strictly inside (0, 1), as returned by
     :func:`make_cascade_examples`.
 
-    Deterministic given the seed: weight initialization and the per-epoch
-    shuffles both come from the portable generator. Targets are clamped
+    Deterministic given the seed: each layer's weights and each epoch's
+    order are one block draw of the portable generator. Targets are clamped
     to [1e-4, 1 - 1e-4] so saturated ensemble outputs cannot pin the loss
     at the log boundary. The learning rate is multiplied by ``lr_decay``
     at the half and three-quarter epoch marks. Raises ArithmeticError if

@@ -246,11 +246,19 @@ def _jsonl_objects(stream) -> Iterator[tuple[str, dict]]:
 _FIELDS = ("id", "pred", "true", "conf", "tag")
 
 
+def _integral(*labels) -> None:
+    """Reject a fractional number given as a class label, which ``int()`` would truncate."""
+    for label in labels:
+        if isinstance(label, float) and not label.is_integer():
+            raise RecordError(f"label {label!r} is not an integer")
+
+
 def _record_from_fields(rid, pred, true, conf, tag, probs) -> PredictionRecord:
     if rid is None:
         raise RecordError("missing 'id'")
     if probs is None and pred is None:
         raise RecordError("need 'pred' or 'probs'")
+    _integral(pred, true)
     try:
         probs_t = tuple(float(p) for p in probs) if probs is not None else None
         pred_i = int(pred) if pred is not None else first_argmax(probs_t)
@@ -324,6 +332,7 @@ def _multilabel_record(obj: dict) -> MultiLabelRecord:
         truths = tuple(int(t) for t in obj["truths"])
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
+    _integral(*obj["truths"])
     return MultiLabelRecord(
         instance_id=str(obj["id"]),
         per_class_probs=probs,

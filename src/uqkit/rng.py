@@ -6,26 +6,31 @@ bit-for-bit, independent of numpy version or platform. The core stream is
 xoshiro256** (Blackman & Vigna), seeded through SplitMix64; derived draws
 use fixed textbook algorithms:
 
-- uniform doubles: 53 high bits of the stream divided by 2**53
+- blocks of n words: the SplitMix64 counter stream (Steele, Lea & Flood)
+  keyed by one core word, in numpy uint64, which wraps modulo 2**64
+- uniform doubles: 53 high bits of a word divided by 2**53, singly or per block
 - normals: Box-Muller transform (pair-cached)
 - gamma: Marsaglia-Tsang squeeze method, with the standard shape<1 boost
 - beta: ratio of two gamma draws
 - integers below a bound: rejection on the high bits (unbiased)
+- permutations: stable argsort of one block
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31), state
+def _splitmix64(key: int, n: int) -> np.ndarray:
+    """Words 1..n of the SplitMix64 stream that starts at ``key``."""
+    z = np.uint64(key) + np.uint64(0x9E3779B97F4A7C15) * np.arange(1, n + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _rotl(x: int, k: int) -> int:
@@ -41,12 +46,7 @@ class PortableRng:
     """
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
-        s = []
-        for _ in range(4):
-            word, state = _splitmix64(state)
-            s.append(word)
-        self._s = s
+        self._s = [int(word) for word in _splitmix64(seed & _MASK64, 4)]
         self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
@@ -125,13 +125,14 @@ class PortableRng:
         y = self.gamma(beta_param)
         return x / (x + y)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+    def u64_block(self, n: int) -> np.ndarray:
+        """n words of the SplitMix64 stream keyed by one ``next_u64()``."""
+        return _splitmix64(self.next_u64(), n)
 
-    def permutation(self, n: int) -> list[int]:
-        order = list(range(n))
-        self.shuffle(order)
-        return order
+    def uniform_block(self, low: float, high: float, n: int) -> np.ndarray:
+        """n uniform doubles in [low, high), mapped from one block as :meth:`random` maps a word."""
+        return low + (high - low) * ((self.u64_block(n) >> np.uint64(11)) * (1.0 / (1 << 53)))
+
+    def permutation(self, n: int) -> np.ndarray:
+        """A uniformly random order of range(n): the stable argsort of one block."""
+        return np.argsort(self.u64_block(n), kind="stable")

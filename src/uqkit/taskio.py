@@ -22,6 +22,7 @@ from .records import (
     PredictionRecord,
     RecordError,
     RecordFormat,
+    _integral,
     _jsonl_objects,
     _jsonl_text,
     _located,
@@ -43,6 +44,7 @@ class FeatureRecord:
 def _feature_record(obj: dict) -> FeatureRecord:
     if any(obj.get(key) is None for key in ("id", "features", "true")):
         raise RecordError("need 'id', 'features' and 'true' (the class label)")
+    _integral(obj["true"])
     try:
         features = tuple(float(v) for v in obj["features"])
         true_label = int(obj["true"])
@@ -106,8 +108,9 @@ def align_members(
 
     Returns ids, probabilities of shape (n, M, K), true labels and tags.
     Ids are unique within each member, as :func:`parse_records` ensures.
-    Raises :class:`RecordError` if any member misses an instance, carries
-    no probability vector, or disagrees on the label or tag.
+    Raises :class:`RecordError` if any member misses an instance or has
+    one that member 0 lacks, carries no probability vector, or disagrees
+    on the label or tag.
     """
     if len(members) == 0 or len(members[0]) == 0:
         raise RecordError("need at least one non-empty ensemble member")
@@ -139,4 +142,8 @@ def align_members(
         probs_rows.append(row)
         trues.append(first.true_label)
         tags.append(first.dist_tag)
+    for m, index in enumerate(by_id[1:], start=1):
+        if index.keys() - by_id[0].keys():
+            extra = next(rid for rid in index if rid not in by_id[0])
+            raise RecordError(f"member {m}: instance id {extra!r} is not in member 0")
     return ids, np.asarray(probs_rows, dtype=np.float64), trues, tags

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the pairwise AUCCC
 is a direct O(n*n) comparison count, the temperature closed form uses the
-power identity rather than softmax-of-logs, and gradients come from
-central finite differences.
+power identity rather than softmax-of-logs, gradients come from
+central finite differences, and SplitMix64 words are computed one at a
+time in Python integers.
 """
 
 from __future__ import annotations
@@ -41,3 +42,15 @@ def central_difference(f, x: float, step: float = 1e-5) -> float:
 
 def relative_error(a: float, b: float, floor: float = 1e-8) -> float:
     return abs(a - b) / max(abs(a) + abs(b), floor)
+
+
+def splitmix64_words(key: int, n: int) -> list[int]:
+    """Scalar SplitMix64 (Steele, Lea & Flood): the n words after ``key``, one at a time."""
+    mask = (1 << 64) - 1
+    words = []
+    for _ in range(n):
+        key = (key + 0x9E3779B97F4A7C15) & mask
+        z = ((key ^ (key >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words

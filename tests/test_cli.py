@@ -75,8 +75,11 @@ class TestEval:
              "line 2: malformed CSV"),
             ("label.jsonl", '{"id":"a","probs":[0.6,0.4],"true":2,"conf":0.5}\n',
              "true label 2 out of range for 2 classes"),
+            ("fraction.jsonl", '{"id":"a","pred":1,"true":1.7,"conf":0.9}\n'
+             '{"id":"b","pred":0,"true":0.2,"conf":0.4}\n', "line 1: label 1.7 is not an integer"),
         ],
-        ids=["deep-nesting", "duplicate-id", "duplicate-id-csv", "oversized-cell", "label"],
+        ids=["deep-nesting", "duplicate-id", "duplicate-id-csv", "oversized-cell", "label",
+             "fractional-label"],
     )
     def test_hostile_input_exits_one(self, tmp_path, capsys, name, content, fragment):
         path = tmp_path / name
@@ -375,16 +378,31 @@ class TestDistillInputErrors:
                                          label):
         feats, member = two_class_task(label)
         out_path = tmp_path / "out"
-        argv = {
-            "train": ["distill", "--train", str(feats), "--ensemble-dirs", str(member),
-                      "--epochs", "1"],
-            "ensemble": ["ensemble", str(member)],
-            "predict": ["distill", "--predict", "--model", str(self.write_model(tmp_path)),
-                        "--data", str(feats), "--ensemble-dirs", str(member)],
-        }[command]
-        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        code, _, err = run(capsys, *self.argv(command, feats, [member], tmp_path),
+                           "--out", str(out_path))
         self.assert_one_error_line(code, err, f"true label {label} out of range for 2 classes")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["ensemble", "predict"])
+    def test_id_only_a_later_member_carries(self, two_class_task, tmp_path, capsys, command):
+        feats, member = two_class_task(1)
+        extra = tmp_path / "extra.jsonl"
+        extra.write_text(member.read_text() + '{"id":"z","probs":[0.5,0.5],"pred":0,"true":0}\n')
+        out_path = tmp_path / "out"
+        code, _, err = run(capsys, *self.argv(command, feats, [member, extra], tmp_path),
+                           "--out", str(out_path))
+        self.assert_one_error_line(code, err, "member 1: instance id 'z' is not in member 0")
+        assert not out_path.exists()
+
+    def argv(self, command, feats, members, tmp_path):
+        members = [str(m) for m in members]
+        return {
+            "train": ["distill", "--train", str(feats), "--ensemble-dirs", *members,
+                      "--epochs", "1"],
+            "ensemble": ["ensemble", *members],
+            "predict": ["distill", "--predict", "--model", str(self.write_model(tmp_path)),
+                        "--data", str(feats), "--ensemble-dirs", *members],
+        }[command]
 
     @staticmethod
     def write_model(tmp_path):

@@ -243,6 +243,15 @@ class TestTraining:
         for b1, b2 in zip(m1.biases, m2.biases):
             assert b1.tobytes() == b2.tobytes()
 
+    def test_one_core_draw_per_epoch_and_layer(self, monkeypatch):
+        data = self.make_constant_target_data(n=40)
+        draws = []
+        next_u64 = PortableRng.next_u64
+        monkeypatch.setattr(PortableRng, "next_u64", lambda rng: draws.append(1) or next_u64(rng))
+        config = TrainConfig(epochs=5)
+        model = train_confidence_model(data, config)
+        assert len(draws) <= config.epochs + len(model.weights)
+
     def test_nonfinite_loss_aborts_with_diagnostic(self):
         bad = (np.array([[math.nan, 0.5, 0.5]]), np.array([0.5]))
         with pytest.raises(ArithmeticError, match="non-finite"):

@@ -150,13 +150,22 @@ class TestJsonLinesReader:
             (b"{", r"line 2: malformed JSON \("),
             (b"[1]", "line 2: expected a JSON object"),
             (b"1" * 5000, r"line 2: malformed JSON \(Exceeds the limit"),
+            # every kind's label fields at once: pred and true, truths, true
+            (b'{"id":"b","pred":1.7,"true":1.7,"probs":[1.0],"truths":[1.7],"features":[0.5]}',
+             "line 2: label 1.7 is not an integer"),
         ],
-        ids=["utf8", "deep", "truncated", "not-object", "long-int"],
+        ids=["utf8", "deep", "truncated", "not-object", "long-int", "fractional-label"],
     )
     def test_malformed_line(self, kind, second, message):
         parse, line = JSONL_KINDS[kind]
         with pytest.raises(RecordError, match=message):
             parse(line.encode() + b"\n" + second + b"\n")
+
+    def test_integral_float_labels_accepted(self, kind):
+        parse, line = JSONL_KINDS[kind]
+        second = ('{"id":"b","pred":1.0,"true":1.0,"probs":[0.2,0.8],"truths":[1.0,0.0],'
+                  '"features":[0.5]}')
+        assert len(parse(f"{line}\n{second}\n")) == 2
 
     def test_duplicate_id_names_both_lines(self, kind):
         parse, line = JSONL_KINDS[kind]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import pairwise_auccc
+from oracles import pairwise_auccc, splitmix64_words
 from uqkit.ccc import auccc_rank
 from uqkit.records import OutcomeSet
 from uqkit.rng import PortableRng
@@ -49,6 +49,38 @@ class TestPortableRng:
     def test_permutation_is_a_permutation(self):
         rng = PortableRng(4)
         assert sorted(rng.permutation(20)) == list(range(20))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_block_matches_scalar_splitmix64(self, seed, n):
+        key = PortableRng(seed).next_u64()
+        block = PortableRng(seed).u64_block(n)
+        assert block.dtype == np.uint64
+        assert block.tolist() == splitmix64_words(key, n)
+
+    def test_seeding_matches_scalar_splitmix64(self):
+        for seed in (0, 5, -3, 2**64 + 9):
+            assert PortableRng(seed)._s == splitmix64_words(seed % 2**64, 4)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 2000])
+    def test_permutation_sizes(self, n):
+        assert sorted(PortableRng(n).permutation(n).tolist()) == list(range(n))
+
+    def test_block_stream_is_pinned(self):
+        # golden integers: any change to seeding, the key draw or the block mix shows here
+        assert PortableRng(2024).u64_block(3).tolist() == [
+            17906168426703532546, 14779163462206821631, 16323221909845190605
+        ]
+        assert PortableRng(2024).permutation(10).tolist() == [4, 6, 5, 7, 3, 9, 8, 1, 2, 0]
+
+    def test_uniform_block_range(self):
+        draws = PortableRng(6).uniform_block(-0.25, 0.75, 5000)
+        assert draws.shape == (5000,)
+        assert np.all((draws >= -0.25) & (draws < 0.75))
+        assert 0.23 < draws.mean() < 0.27
+        # the 53-bit mapping of random(), word for word
+        words = splitmix64_words(PortableRng(6).next_u64(), 5000)
+        assert draws.tolist() == [-0.25 + 1.0 * ((w >> 11) * (1.0 / (1 << 53))) for w in words]
 
 
 class TestConfidenceDist:
