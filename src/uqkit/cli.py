@@ -133,7 +133,7 @@ def _probability_records(ids, probs, trues, tags, confidence=None) -> list[Predi
 
 
 def cmd_ensemble(args) -> int:
-    members = load_member_records([Path(p) for p in args.inputs])
+    members = load_member_records(collect_member_paths(args.inputs))
     ids, probs, trues, tags = align_members(members)
     softened = temperature_scale(average_probs(probs), args.temperature)
     _emit(write_records_jsonl(_probability_records(ids, softened, trues, tags)), args.out)
@@ -141,6 +141,12 @@ def cmd_ensemble(args) -> int:
 
 
 def _aligned_task(feature_path: str, member_paths: list[str]):
+    """Join a feature file with its ensemble members by instance id, in feature-file order.
+
+    Members are aligned to member 0 first (:func:`align_members`); then the
+    feature file must hold exactly member 0's ids, so an id missing on either
+    side is an error, as are ragged features and labels the members contradict.
+    """
     with naming_file(feature_path):
         feats = parse_feature_records(Path(feature_path).read_bytes())
     if not feats:
@@ -148,24 +154,25 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
     members = load_member_records(collect_member_paths(member_paths))
     ids, probs, trues, member_tags = align_members(members)
     row_of = {rid: i for i, rid in enumerate(ids)}
+    feat_ids = [rec.instance_id for rec in feats]
+    take = [row_of.get(rid) for rid in feat_ids]
+    if None in take:
+        raise RecordError(f"instance {feat_ids[take.index(None)]!r} missing from ensemble members")
+    if len(feat_ids) < len(ids):
+        present = set(feat_ids)
+        absent = next(rid for rid in ids if rid not in present)
+        raise RecordError(
+            f"instance {absent!r} of the ensemble members is missing from {feature_path}"
+        )
     feat_dim = len(feats[0].features)
-    features = np.empty((len(feats), feat_dim))
-    member_probs = np.empty((len(feats), probs.shape[1], probs.shape[2]))
-    labels = np.empty(len(feats), dtype=np.int64)
-    tags = []
-    for i, rec in enumerate(feats):
-        j = row_of.get(rec.instance_id)
-        if j is None:
-            raise RecordError(f"instance {rec.instance_id!r} missing from ensemble members")
+    for rec, j in zip(feats, take):
         if len(rec.features) != feat_dim:
             raise RecordError(f"instance {rec.instance_id!r} has inconsistent feature length")
-        if trues[j] is not None and trues[j] != rec.true_label:
+        if trues[j] not in (None, rec.true_label):
             raise RecordError(f"instance {rec.instance_id!r}: label disagrees with members")
-        features[i] = rec.features
-        member_probs[i] = probs[j]
-        labels[i] = rec.true_label
-        tags.append(member_tags[j])
-    return [rec.instance_id for rec in feats], features, member_probs, labels, tags
+    features = np.array([rec.features for rec in feats], dtype=np.float64)
+    labels = np.array([rec.true_label for rec in feats], dtype=np.int64)
+    return feat_ids, features, probs[take], labels, [member_tags[j] for j in take]
 
 
 def cmd_distill(args) -> int:
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser(
         "ensemble", help="average member record files and temperature-scale the result"
     )
-    p_ens.add_argument("inputs", nargs="+", help="member record files, aligned by instance id")
+    p_ens.add_argument("inputs", nargs="+", help="member record files or directories of them")
     p_ens.add_argument("--temperature", type=float, default=3.0, help="softening temperature")
     p_ens.add_argument("--out", default=None, help="output path (default: stdout)")
     p_ens.set_defaults(func=cmd_ensemble)

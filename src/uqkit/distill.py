@@ -71,7 +71,8 @@ class TrainConfig:
 
     ``train_temperature`` is the softening temperature that produces the
     training data; training itself only sees the softened arrays, so it is
-    a class constant, not a field.
+    a class constant, not a field. The model has ``DEFAULT_HIDDEN`` hidden
+    layers.
     """
 
     train_temperature: ClassVar[float] = 8.0
@@ -80,7 +81,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     seed: int = 0
-    hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN
     lr_decay: float = 0.1  # multiplier applied at 1/2 and 3/4 of the epochs
 
     def __post_init__(self) -> None:
@@ -132,11 +132,7 @@ class ConfidenceModel:
                 f"input width {x.shape[-1] if x.ndim else 0} does not match model "
                 f"input dim {self.input_dim}"
             )
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ w + b)
-        z = a @ self.weights[-1] + self.biases[-1]
-        return 1.0 / (1.0 + np.exp(-z))
+        return _layer_outputs(self, x)[1]
 
     def to_json(self) -> str:
         obj = {
@@ -185,6 +181,15 @@ class ConfidenceModel:
         return cls(weights, biases)
 
 
+def _layer_outputs(model: ConfidenceModel, x: np.ndarray):
+    """The input and each tanh hidden layer's activations, and the sigmoid output."""
+    activations = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    z = activations[-1] @ model.weights[-1] + model.biases[-1]
+    return activations, 1.0 / (1.0 + np.exp(-z))
+
+
 def init_confidence_model(
     input_dim: int,
     hidden_sizes: Sequence[int] = DEFAULT_HIDDEN,
@@ -218,14 +223,7 @@ def loss_and_grads(
     if x.ndim != 2 or x.shape[0] != t.shape[0] or t.shape[1] != model.output_dim:
         raise ValueError("batch inputs and targets have inconsistent shapes")
 
-    activations = [x]
-    a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a @ w + b)
-        activations.append(a)
-    z = a @ model.weights[-1] + model.biases[-1]
-    s = 1.0 / (1.0 + np.exp(-z))
-
+    activations, s = _layer_outputs(model, x)
     sc = np.clip(s, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     loss = float(-np.mean(t * np.log(sc) + (1.0 - t) * np.log(1.0 - sc)))
 
@@ -274,7 +272,7 @@ def train_confidence_model(
     t = np.clip(t.reshape(-1, 1), TARGET_CLAMP, 1.0 - TARGET_CLAMP)
 
     rng = PortableRng(config.seed)
-    model = init_confidence_model(x.shape[1], config.hidden_sizes, 1, rng)
+    model = init_confidence_model(x.shape[1], DEFAULT_HIDDEN, 1, rng)
     return _fit(model, x, t, config, rng)
 
 

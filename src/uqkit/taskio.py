@@ -106,44 +106,35 @@ def align_members(
 ) -> tuple[list[str], np.ndarray, list[int | None], list[DistTag]]:
     """Align per-member records by instance id, in the first member's order.
 
-    Returns ids, probabilities of shape (n, M, K), true labels and tags.
-    Ids are unique within each member, as :func:`parse_records` ensures.
-    Raises :class:`RecordError` if any member misses an instance or has
-    one that member 0 lacks, carries no probability vector, or disagrees
-    on the label or tag.
+    Returns ids, probabilities of shape (n, M, K), true labels and tags. The
+    rule is two-way: each member must hold exactly member 0's (unique) ids,
+    each record a probability vector of member 0's class count, and member
+    0's label and tag. A :class:`RecordError` names the member and the id.
     """
     if len(members) == 0 or len(members[0]) == 0:
         raise RecordError("need at least one non-empty ensemble member")
-    by_id = [{rec.instance_id: rec for rec in recs} for recs in members]
-
-    ids = [rec.instance_id for rec in members[0]]
-    n_classes = None
-    probs_rows: list[list[tuple[float, ...]]] = []
-    trues: list[int | None] = []
-    tags: list[DistTag] = []
-    for rid in ids:
-        row = []
-        for m, index in enumerate(by_id):
-            rec = index.get(rid)
-            if rec is None:
-                raise RecordError(f"member {m}: missing instance id {rid!r}")
+    first = members[0]
+    ids = [rec.instance_id for rec in first]
+    labels = [(rec.true_label, rec.dist_tag) for rec in first]
+    n_classes = len(first[0].probs or ())
+    blocks = []
+    for m, recs in enumerate(members):
+        index = {rec.instance_id: rec for rec in recs}
+        try:
+            rows = [index[rid] for rid in ids]
+        except KeyError as exc:
+            raise RecordError(f"member {m}: missing instance id {exc.args[0]!r}") from None
+        if len(index) > len(ids):
+            known = set(ids)
+            extra = next(rid for rid in index if rid not in known)
+            raise RecordError(f"member {m}: instance id {extra!r} is not in member 0")
+        for rid, rec, label in zip(ids, rows, labels):
             if rec.probs is None:
                 raise RecordError(f"member {m}: record {rid!r} has no probability vector")
-            if n_classes is None:
-                n_classes = len(rec.probs)
-            elif len(rec.probs) != n_classes:
+            if len(rec.probs) != n_classes:
                 raise RecordError(f"member {m}: record {rid!r} has {len(rec.probs)} classes")
-            row.append(rec.probs)
-        first = by_id[0][rid]
-        for m, index in enumerate(by_id[1:], start=1):
-            other = index[rid]
-            if other.true_label != first.true_label or other.dist_tag != first.dist_tag:
+            if (rec.true_label, rec.dist_tag) != label:
                 raise RecordError(f"member {m}: record {rid!r} disagrees on label or tag")
-        probs_rows.append(row)
-        trues.append(first.true_label)
-        tags.append(first.dist_tag)
-    for m, index in enumerate(by_id[1:], start=1):
-        if index.keys() - by_id[0].keys():
-            extra = next(rid for rid in index if rid not in by_id[0])
-            raise RecordError(f"member {m}: instance id {extra!r} is not in member 0")
-    return ids, np.asarray(probs_rows, dtype=np.float64), trues, tags
+        blocks.append(np.asarray([rec.probs for rec in rows], dtype=np.float64))
+    trues = [rec.true_label for rec in first]
+    return ids, np.stack(blocks, axis=1), trues, [rec.dist_tag for rec in first]

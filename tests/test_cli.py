@@ -17,6 +17,24 @@ def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
 
 
+FEATURES = [
+    {"id": "a", "features": [0.1, 0.2], "true": 0},
+    {"id": "b", "features": [0.3, -0.4], "true": 1},
+]
+MEMBER = [
+    {"id": "a", "probs": [0.8, 0.2], "pred": 0, "true": 0},
+    {"id": "b", "probs": [0.3, 0.7], "pred": 1, "true": 1},
+]
+
+
+def changed(rows, i, **fields):
+    """A copy of ``rows`` whose row ``i`` has ``fields`` replaced (``None`` drops one)."""
+    out = [dict(row) for row in rows]
+    out[i].update(fields)
+    out[i] = {key: value for key, value in out[i].items() if value is not None}
+    return out
+
+
 @pytest.fixture
 def mixed_file(tmp_path):
     rows = [
@@ -196,6 +214,15 @@ class TestEnsemble:
         for rec in records:
             assert rec.confidence == max(rec.probs)
             assert rec.pred_label == int(np.argmax(rec.probs))
+
+    def test_directory_input_matches_file_inputs(self, member_files, tmp_path, capsys):
+        m0, m1 = member_files
+        outs = tmp_path / "out"
+        outs.mkdir()
+        for name, inputs in (("files", [str(m0), str(m1)]), ("dir", [str(m0.parent)])):
+            code, _, err = run(capsys, "ensemble", *inputs, "--out", str(outs / name))
+            assert code == 0, err
+        assert (outs / "dir").read_bytes() == (outs / "files").read_bytes()
 
     def test_misaligned_ids_rejected(self, tmp_path, capsys):
         m0 = tmp_path / "m0.jsonl"
@@ -392,6 +419,44 @@ class TestDistillInputErrors:
         code, _, err = run(capsys, *self.argv(command, feats, [member, extra], tmp_path),
                            "--out", str(out_path))
         self.assert_one_error_line(code, err, "member 1: instance id 'z' is not in member 0")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize(
+        "feature_rows, member_rows, fragment",
+        [
+            (FEATURES, [MEMBER, changed(MEMBER, 1, probs=None)],
+             "member 1: record 'b' has no probability vector"),
+            (FEATURES, [MEMBER, changed(MEMBER, 1, probs=[0.2, 0.7, 0.1])],
+             "member 1: record 'b' has 3 classes"),
+            (FEATURES, [MEMBER, changed(MEMBER, 1, true=0)],
+             "member 1: record 'b' disagrees on label or tag"),
+            (FEATURES, [MEMBER, changed(MEMBER, 0, tag="ood")],
+             "member 1: record 'a' disagrees on label or tag"),
+            (FEATURES + [{"id": "c", "features": [0.5, 0.5], "true": 0}], [MEMBER],
+             "instance 'c' missing from ensemble members"),
+            (changed(FEATURES, 1, features=[0.3]), [MEMBER],
+             "instance 'b' has inconsistent feature length"),
+            (changed(FEATURES, 1, true=0), [MEMBER],
+             "instance 'b': label disagrees with members"),
+            ([], [MEMBER], "no feature records in {feats}"),
+            (FEATURES[:1], [MEMBER],
+             "instance 'b' of the ensemble members is missing from {feats}"),
+        ],
+        ids=["no-probs", "class-count", "label", "tag", "feature-id-unknown",
+             "feature-length", "feature-label", "empty-features", "member-id-unfeatured"],
+    )
+    def test_alignment_faults(self, tmp_path, capsys, command, feature_rows, member_rows,
+                              fragment):
+        feats = tmp_path / "f.jsonl"
+        write_jsonl(feats, feature_rows)
+        members = [tmp_path / f"m{m}.jsonl" for m in range(len(member_rows))]
+        for path, rows in zip(members, member_rows):
+            write_jsonl(path, rows)
+        out_path = tmp_path / "out"
+        code, _, err = run(capsys, *self.argv(command, feats, members, tmp_path),
+                           "--out", str(out_path))
+        self.assert_one_error_line(code, err, fragment.format(feats=feats))
         assert not out_path.exists()
 
     def argv(self, command, feats, members, tmp_path):
