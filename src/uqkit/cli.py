@@ -98,13 +98,10 @@ def cmd_eval(args) -> int:
     scores = score_outcomes(outcomes)
     if args.curve_out:
         Path(args.curve_out).write_text(curve_to_csv(report.curve))
-    if args.format == "csv":
-        sys.stdout.write(curve_to_csv(report.curve))
-    else:
-        payload = report.to_dict()
-        payload["cross_entropy"] = scores.cross_entropy
-        payload["brier"] = scores.brier
-        sys.stdout.write(json.dumps(payload) + "\n")
+    payload = report.to_dict()
+    payload["cross_entropy"] = scores.cross_entropy
+    payload["brier"] = scores.brier
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
@@ -198,7 +195,7 @@ def cmd_distill(args) -> int:
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        seed=_resolve_seed(args, default=0),
+        seed=args.seed,
     )
     model = train_confidence_model(data, config)
     for epoch, loss in enumerate(model.epoch_losses):
@@ -208,21 +205,13 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _resolve_seed(args, default: int) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if getattr(args, "global_seed", None) is not None:
-        return args.global_seed
-    return default
-
-
 def cmd_synth_outcomes(args) -> int:
     config = SynthOutcomeConfig(
         n_correct=args.n_correct,
         n_incorrect=args.n_incorrect,
         correct_conf_dist=ConfidenceDist.parse(args.correct_dist),
         incorrect_conf_dist=ConfidenceDist.parse(args.incorrect_dist),
-        seed=_resolve_seed(args, default=0),
+        seed=args.seed,
     )
     outcomes = gen_outcomes(config)
     recs = [
@@ -248,7 +237,7 @@ def cmd_synth_udist(args) -> int:
         ensemble_size=args.members,
         noise_scale=args.noise_scale,
         error_signal_strength=args.signal_strength,
-        seed=_resolve_seed(args, default=DEFAULT_UDIST_CONFIG.seed),
+        seed=args.seed,
     )
     task = gen_udist_task(config)
     out_dir = Path(args.out_dir)
@@ -281,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Confidence evaluation (CCC/AUCCC) and confidence distillation toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"uqkit {__version__}")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format for eval"
-    )
-    parser.add_argument(
-        "--seed", dest="global_seed", type=int, default=None, help="default seed for subcommands"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_eval_flags(p):
@@ -347,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_dist.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p_dist.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p_dist.add_argument("--seed", type=int, default=None)
+    p_dist.add_argument("--seed", type=int, default=TrainConfig.seed)
     p_dist.add_argument("--out", default=None, help="model path (train) or records path (predict)")
     p_dist.set_defaults(func=cmd_distill)
 
@@ -363,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "| beta:5,2 | constant:0.9",
     )
     p_out.add_argument("--incorrect-dist", default="uniform:0,1")
-    p_out.add_argument("--seed", type=int, default=None)
+    p_out.add_argument("--seed", type=int, default=SynthOutcomeConfig.seed)
     p_out.add_argument("--out", default=None, help="output path (default: stdout)")
     p_out.set_defaults(func=cmd_synth_outcomes)
 
@@ -378,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ud.add_argument(
         "--signal-strength", type=float, default=DEFAULT_UDIST_CONFIG.error_signal_strength
     )
-    p_ud.add_argument("--seed", type=int, default=None)
+    p_ud.add_argument("--seed", type=int, default=DEFAULT_UDIST_CONFIG.seed)
     p_ud.set_defaults(func=cmd_synth_udist)
 
     return parser

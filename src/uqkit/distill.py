@@ -14,9 +14,10 @@ an (n,) vector.
 
 The model itself is deliberately plain: fully connected layers with tanh
 hidden activations and a sigmoid output, trained by mini-batch gradient
-descent on the confidence loss (binary cross entropy against the soft
-target). Everything is numpy; a fixed seed reproduces training
-bit-for-bit.
+descent on the confidence loss: binary cross entropy against the soft
+target, the same clamped log loss that ``eval`` reports as cross entropy
+(:mod:`uqkit.scoring`). Everything is numpy; on one machine a fixed seed
+reproduces training bit-for-bit.
 """
 
 from __future__ import annotations
@@ -30,35 +31,35 @@ import numpy as np
 
 from .ensemble import actual_class_confidence, average_probs, temperature_scale
 from .rng import PortableRng
+from .scoring import LOG_CLAMP, _clamped_log_loss
 
 MODEL_FORMAT = "udist-model-v1"
-LOSS_CLAMP = 1e-7
 TARGET_CLAMP = 1e-4
 DEFAULT_HIDDEN = (32, 32)
+
+
+def _scalar_loss(s: float, p_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Range-check one (score, target) pair; return its clamped log loss and d/ds."""
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"confidence {s} outside [0, 1]")
+    if not (0.0 <= p_t <= 1.0):
+        raise ValueError(f"target {p_t} outside [0, 1]")
+    return _clamped_log_loss(np.float64(s), np.float64(p_t))
 
 
 def confidence_loss(s: float, p_t: float) -> float:
     """Cross entropy between a confidence score and a soft target, >= 0.
 
-    The score is clamped to [1e-7, 1 - 1e-7] before the logs; the minimum
+    One element of the clamped log loss that :func:`loss_and_grads` averages:
+    the score is clamped to [1e-7, 1 - 1e-7] before the logs; the minimum
     over s sits at s = p_t, where the loss equals the entropy of p_t.
     """
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"confidence {s} outside [0, 1]")
-    if not (0.0 <= p_t <= 1.0):
-        raise ValueError(f"target {p_t} outside [0, 1]")
-    sc = min(max(s, LOSS_CLAMP), 1.0 - LOSS_CLAMP)
-    return -(p_t * math.log(sc) + (1.0 - p_t) * math.log(1.0 - sc))
+    return float(_scalar_loss(s, p_t)[0])
 
 
 def confidence_loss_grad(s: float, p_t: float) -> float:
     """Derivative of :func:`confidence_loss` with respect to s, at the clamped s."""
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"confidence {s} outside [0, 1]")
-    if not (0.0 <= p_t <= 1.0):
-        raise ValueError(f"target {p_t} outside [0, 1]")
-    sc = min(max(s, LOSS_CLAMP), 1.0 - LOSS_CLAMP)
-    return -p_t / sc + (1.0 - p_t) / (1.0 - sc)
+    return float(_scalar_loss(s, p_t)[1])
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,11 @@ class ConfidenceModel:
             biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
         except TypeError as exc:
             raise ValueError(f"model file has non-numeric parameters: {exc}") from None
-        return cls(weights, biases)
+        model = cls(weights, biases)
+        activation = obj.get("activation")
+        if activation != "tanh":
+            raise ValueError(f"unsupported model activation {activation!r} (need 'tanh')")
+        return model
 
 
 def _layer_outputs(model: ConfidenceModel, x: np.ndarray):
@@ -224,13 +229,9 @@ def loss_and_grads(
         raise ValueError("batch inputs and targets have inconsistent shapes")
 
     activations, s = _layer_outputs(model, x)
-    sc = np.clip(s, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    loss = float(-np.mean(t * np.log(sc) + (1.0 - t) * np.log(1.0 - sc)))
-
-    scale = 1.0 / t.size
-    inside_clamp = (s > LOSS_CLAMP) & (s < 1.0 - LOSS_CLAMP)
-    dloss_dsc = (-t / sc + (1.0 - t) / (1.0 - sc)) * scale
-    dz = dloss_dsc * inside_clamp * s * (1.0 - s)
+    losses, dloss_dsc = _clamped_log_loss(s, t)
+    inside_clamp = (s > LOG_CLAMP) & (s < 1.0 - LOG_CLAMP)
+    dz = dloss_dsc * (1.0 / t.size) * inside_clamp * s * (1.0 - s)
 
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(len(model.weights) - 1, -1, -1):
@@ -242,7 +243,7 @@ def loss_and_grads(
             da = dz @ model.weights[layer].T
             dz = da * (1.0 - activations[layer] ** 2)
     grads.reverse()
-    return loss, grads
+    return float(np.mean(losses)), grads
 
 
 def train_confidence_model(

@@ -47,6 +47,12 @@ def _validate_distributions(p: np.ndarray, last: str) -> None:
         raise ValueError(f"{_locate(at, last)} sums to {totals[at]:g}, not 1 within tolerance")
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each vector's maximum so exp cannot overflow."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def average_probs(members) -> np.ndarray:
     """Arithmetic mean over the member axis: (..., M, K) -> (..., K)."""
     try:
@@ -73,10 +79,7 @@ def temperature_scale(p, temperature: float) -> np.ndarray:
     _validate_distributions(arr, "row")
     floored = np.maximum(arr, LOG_FLOOR)
     floored = floored / np.sum(floored, axis=-1, keepdims=True)
-    z = np.log(floored) / temperature
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return _softmax(np.log(floored) / temperature)
 
 
 def actual_class_confidence(softened, true_label):

@@ -223,11 +223,14 @@ def _located(rows: Iterable[tuple[str, object]], build: Callable[[object], objec
 def _jsonl_objects(stream) -> Iterator[tuple[str, dict]]:
     """Yield ``("line N", object)`` for each non-blank line of a JSON Lines stream.
 
+    Lines end at a line feed only (a carriage return before it is JSON
+    whitespace), so the U+2028, U+2029 and U+0085 that JSON allows raw
+    inside strings stay put.
     Raises :class:`RecordError` naming the line if the text is not UTF-8,
     a line is not JSON (nesting too deep or an integer too long included),
     or a line holds anything but a JSON object.
     """
-    for lineno, line in enumerate(_as_text(stream).splitlines(), start=1):
+    for lineno, line in enumerate(_as_text(stream).split("\n"), start=1):
         if not line.strip():
             continue
         where = f"line {lineno}"

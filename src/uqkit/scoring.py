@@ -4,7 +4,8 @@ Cross entropy and the Brier score grade confidence values directly, so
 they move when all confidences shift by a constant even though the
 ranking (and hence the accept/reject behaviour at any swept threshold)
 is unchanged. They are computed here so AUCCC can be reported alongside
-them for comparison.
+them for comparison. The clamped log loss behind ``cross_entropy`` is also
+the confidence distillation loss of :mod:`uqkit.distill`.
 """
 
 from __future__ import annotations
@@ -33,15 +34,22 @@ def max_softmax_confidence(probs: Sequence[float]) -> float:
     return float(max(probs))
 
 
-def cross_entropy(outcomes: OutcomeSet) -> float:
-    """Mean binary cross entropy of confidence against correctness.
+def _clamped_log_loss(s, t) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise binary cross entropy of scores ``s`` against targets ``t``, and its d/ds.
 
-    Confidences are clamped to [1e-7, 1 - 1e-7] before the logs so the
-    value stays finite at 0 and 1.
+    The scores are clipped once to [1e-7, 1 - 1e-7], so the loss stays finite
+    at 0 and 1; the derivative is taken at the clipped score. ``eval``'s
+    cross entropy and the distillation loss both come from here.
     """
-    s = np.clip(outcomes.confidence, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    c = outcomes.correct.astype(np.float64)
-    return float(-np.mean(c * np.log(s) + (1.0 - c) * np.log(1.0 - s)))
+    sc = np.clip(s, LOG_CLAMP, 1.0 - LOG_CLAMP)
+    loss = -(t * np.log(sc) + (1.0 - t) * np.log(1.0 - sc))
+    return loss, -t / sc + (1.0 - t) / (1.0 - sc)
+
+
+def cross_entropy(outcomes: OutcomeSet) -> float:
+    """Mean binary cross entropy of confidence against correctness (the clamped log loss)."""
+    loss, _ = _clamped_log_loss(outcomes.confidence, outcomes.correct.astype(np.float64))
+    return float(np.mean(loss))
 
 
 def brier_score(outcomes: OutcomeSet) -> float:

@@ -16,8 +16,9 @@ experiment:
   the features can therefore outrank max-softmax, which only sees the
   probability vector.
 
-All draws come from the portable generator, so a config reproduces its
-output bit-for-bit anywhere.
+All draws come from the portable generator, so a config draws the same
+numbers on every platform. The member probabilities then pass through
+numpy's ``exp``, whose last bits may depend on the CPU.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import _softmax
 from .records import OutcomeSet
 from .rng import PortableRng
 
@@ -159,17 +161,12 @@ class UdistTask:
     config: SynthUdistConfig
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
-
-
 def _gen_split(n: int, means: np.ndarray, config: SynthUdistConfig, rng: PortableRng) -> UdistSplit:
     n_struct = config.feature_dim - 1
     k = config.n_classes
     features = np.empty((n, config.feature_dim))
     labels = np.empty(n, dtype=np.int64)
-    member_probs = np.empty((n, config.ensemble_size, k))
+    logits = np.empty((n, config.ensemble_size, k))
     for i in range(n):
         y = rng.randint(k)
         struct = np.array([means[y, j] + rng.normal() for j in range(n_struct)])
@@ -184,10 +181,11 @@ def _gen_split(n: int, means: np.ndarray, config: SynthUdistConfig, rng: Portabl
         labels[i] = y
         features[i, :n_struct] = struct
         features[i, n_struct] = signal
-        for m in range(config.ensemble_size):
-            jitter = np.array([config.noise_scale * rng.normal() for _ in range(k)])
-            member_probs[i, m] = _softmax(base + jitter)
-    return UdistSplit(features=features, labels=labels, member_probs=member_probs)
+        # member-major jitter: member m's k draws come before member m + 1's
+        jitter = [[config.noise_scale * rng.normal() for _ in range(k)]
+                  for _ in range(config.ensemble_size)]
+        logits[i] = base + np.array(jitter)
+    return UdistSplit(features=features, labels=labels, member_probs=_softmax(logits))
 
 
 def gen_udist_task(config: SynthUdistConfig = DEFAULT_UDIST_CONFIG) -> UdistTask:

@@ -10,6 +10,7 @@ Two file kinds flow through the distillation pipeline:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,11 @@ def _feature_record(obj: dict) -> FeatureRecord:
         true_label = int(obj["true"])
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
-    return FeatureRecord(instance_id=str(obj["id"]), features=features, true_label=true_label)
+    rid = str(obj["id"])
+    bad = next((v for v in features if not math.isfinite(v)), None)
+    if bad is not None:  # NaN, Infinity, or a literal such as 1e999 that overflows
+        raise RecordError(f"record {rid!r}: feature {bad} is not finite")
+    return FeatureRecord(instance_id=rid, features=features, true_label=true_label)
 
 
 def parse_feature_records(stream) -> list[FeatureRecord]:

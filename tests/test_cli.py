@@ -153,12 +153,6 @@ class TestEval:
         assert code == 0
         assert curve_path.read_text().startswith("threshold,one_minus_crejr,caccr")
 
-    def test_csv_format_prints_curve(self, mixed_file, capsys):
-        code, out, _ = run(capsys, "--format", "csv", "eval", str(mixed_file),
-                           "--mode", "ood-unified")
-        assert code == 0
-        assert out.startswith("threshold,one_minus_crejr,caccr")
-
     def test_csv_input(self, tmp_path, capsys):
         path = tmp_path / "records.csv"
         path.write_text("id,pred,true,conf,tag\na,0,0,0.9,id\nb,1,0,0.2,id\n")
@@ -442,9 +436,14 @@ class TestDistillInputErrors:
             ([], [MEMBER], "no feature records in {feats}"),
             (FEATURES[:1], [MEMBER],
              "instance 'b' of the ensemble members is missing from {feats}"),
+            (changed(FEATURES, 1, features=[float("nan"), 0.2]), [MEMBER],
+             "{feats}: line 2: record 'b': feature nan is not finite"),
+            (changed(FEATURES, 1, features=[0.3, float("-inf")]), [MEMBER],
+             "{feats}: line 2: record 'b': feature -inf is not finite"),
         ],
         ids=["no-probs", "class-count", "label", "tag", "feature-id-unknown",
-             "feature-length", "feature-label", "empty-features", "member-id-unfeatured"],
+             "feature-length", "feature-label", "empty-features", "member-id-unfeatured",
+             "feature-nan", "feature-infinity"],
     )
     def test_alignment_faults(self, tmp_path, capsys, command, feature_rows, member_rows,
                               fragment):
@@ -527,8 +526,15 @@ class TestDistillInputErrors:
             ({"format": "udist-model-v1", "layer_sizes": [-1, 1], "activation": "tanh",
               "weights": [[0.0, 0.0, 0.0]], "biases": [[0.0]]}, "not a positive integer"),
             ("[" * 200_000, "nesting too deep"),
+            ({"format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "relu",
+              "weights": [[0.0, 0.0, 0.0, 0.0]], "biases": [[0.0]]},
+             "unsupported model activation 'relu'"),
+            ({"format": "udist-model-v1", "layer_sizes": [4, 1],
+              "weights": [[0.0, 0.0, 0.0, 0.0]], "biases": [[0.0]]},
+             "unsupported model activation None"),
         ],
-        ids=["missing-key", "not-object", "wrong-shape", "negative-size", "deep-nesting"],
+        ids=["missing-key", "not-object", "wrong-shape", "negative-size", "deep-nesting",
+             "activation-relu", "activation-missing"],
     )
     def test_predict_model_schema_errors(self, two_class_task, tmp_path, capsys, model_doc,
                                          fragment):
@@ -571,15 +577,6 @@ class TestDeterminism:
             p2 = d2 / p1.name
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_global_seed_flag_feeds_subcommands(self, tmp_path, capsys):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run(capsys, "--seed", "31", "synth", "outcomes", "--n-correct", "10",
-            "--n-incorrect", "10", "--out", str(a))
-        run(capsys, "synth", "outcomes", "--n-correct", "10",
-            "--n-incorrect", "10", "--seed", "31", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestUsability:
     def test_help_exits_zero(self, capsys):
@@ -587,7 +584,14 @@ class TestUsability:
         capsys.readouterr()
 
     def test_usage_error_exits_one(self, capsys):
-        assert main(["eval"]) == 1  # missing input
+        usage_errors = [
+            ["eval"],  # missing input
+            # seeds are per subcommand and the curve CSV comes from `curve`: no global flags
+            ["--format", "csv", "eval", "f.jsonl"],
+            ["--seed", "3", "synth", "outcomes", "--n-correct", "2", "--n-incorrect", "2"],
+        ]
+        for argv in usage_errors:
+            assert main(argv) == 1, argv
         capsys.readouterr()
 
     def test_version(self, capsys):

@@ -178,6 +178,19 @@ class TestModel:
 
 
 class TestNetworkGradients:
+    def test_bias_gradient_is_mean_of_scalar_loss_grad(self):
+        """Training's gradient and the scalar confidence_loss_grad are the same loss."""
+        rng = PortableRng(8)
+        model = init_confidence_model(3, (), 1, rng)
+        model.biases[0][0] = 0.3
+        x = np.array([[rng.normal() for _ in range(3)] for _ in range(16)])
+        t = np.array([0.05 + 0.9 * rng.random() for _ in range(16)])
+        _, grads = loss_and_grads(model, x, t)
+        s = model.forward(x)[:, 0]
+        expected = np.mean([confidence_loss_grad(si, ti) * si * (1.0 - si)
+                            for si, ti in zip(s, t)])
+        assert abs(grads[0][1][0] - expected) <= 1e-12
+
     def test_backprop_matches_finite_differences(self):
         rng = PortableRng(21)
         for trial in range(20):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import power_temperature
-from uqkit.ensemble import actual_class_confidence, average_probs, temperature_scale
+from uqkit.ensemble import _softmax, actual_class_confidence, average_probs, temperature_scale
 
 
 @st.composite
@@ -72,6 +72,14 @@ class TestAverageProbs:
     def test_output_sums_to_one(self, p):
         out = average_probs([p, p[::-1].copy()])
         assert abs(out.sum() - 1.0) <= 1e-9
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("shape", [(300, 4, 4), (50, 8, 10), (7, 1, 2)])
+    def test_batched_call_equals_per_row_calls_bitwise(self, shape):
+        z = np.random.default_rng(11).normal(scale=3.0, size=shape)
+        per_row = np.array([[_softmax(row) for row in block] for block in z])
+        assert np.array_equal(_softmax(z), per_row)
 
 
 class TestTemperatureScale:

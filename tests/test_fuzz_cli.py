@@ -23,11 +23,13 @@ FUZZ_EXAMPLES = 20  # per case; keeps the whole module to a few seconds
 
 # splices that reach the parsers' edge cases: structure, non-finite and huge
 # numbers, labels outside the classes, deep nesting, bad UTF-8, a CSV cell over
-# the csv module's field size limit
+# the csv module's field size limit, and the Unicode line separators that JSON
+# allows raw inside strings
 TOKENS = [
     b"[" * 5000, b"{", b"}", b"[", b"]", b'"', b",", b":", b"\n", b"\r", b"\xff", b"\x00",
     b"NaN", b"Infinity", b"-1", b"7", b"0", b"1e999", b"1" * 5000, b"null", b"true",
     b'"ood"', b'"id"', b"[]", b"{}", b"0.5", b"x" * 140_000,
+    "\u2028".encode(), "\u2029".encode(), "\u0085".encode(),
 ]
 
 
@@ -72,11 +74,15 @@ MODEL = json.dumps({
 EVAL = ["eval", "{target}", "--curve-out", "{out}"]
 PREDICT = ["distill", "--predict", "--model", "{model}", "--data", "{features}",
            "--ensemble-dirs", "{member0}", "{member1}", "--out", "{out}"]
+TRAIN = ["distill", "--train", "{features}", "--ensemble-dirs", "{member0}", "{member1}",
+         "--epochs", "2", "--out", "{out}"]
 
 # (file to mutate, its clean content, command line); {out} is the output file
 CASES = {
     "records-jsonl": ("target.jsonl", RECORDS, EVAL + ["--mode", "ood-unified"]),
     "records-csv": ("target.csv", RECORDS_CSV, EVAL),
+    "curve": ("target.jsonl", RECORDS, ["curve", "{target}", "--mode", "ood-unified",
+                                        "--out", "{out}"]),
     "records-max-softmax": ("target.jsonl", RECORDS, EVAL + ["--confidence-source",
                                                              "max-softmax"]),
     "multi-label": ("target.jsonl", MULTI_LABEL, EVAL + ["--mode", "multi-label"]),
@@ -85,6 +91,8 @@ CASES = {
     "features": ("features.jsonl", FEATURES, PREDICT),
     "predict-member": ("member0.jsonl", MEMBERS[0], PREDICT),
     "model": ("model.json", MODEL, PREDICT),
+    "train-features": ("features.jsonl", FEATURES, TRAIN),
+    "train-member": ("member0.jsonl", MEMBERS[0], TRAIN),
 }
 CLEAN = {"member0.jsonl": MEMBERS[0], "member1.jsonl": MEMBERS[1],
          "features.jsonl": FEATURES, "model.json": MODEL}

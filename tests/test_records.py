@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -153,8 +154,12 @@ class TestJsonLinesReader:
             # every kind's label fields at once: pred and true, truths, true
             (b'{"id":"b","pred":1.7,"true":1.7,"probs":[1.0],"truths":[1.7],"features":[0.5]}',
              "line 2: label 1.7 is not an integer"),
+            # a non-finite entry in every kind's float array; 1e999 overflows to inf
+            (b'{"id":"b","true":0,"probs":[NaN],"truths":[1],"features":[1e999]}',
+             r"line 2: record 'b': (probability nan out of range|feature inf is not finite)"),
         ],
-        ids=["utf8", "deep", "truncated", "not-object", "long-int", "fractional-label"],
+        ids=["utf8", "deep", "truncated", "not-object", "long-int", "fractional-label",
+             "non-finite-feature"],
     )
     def test_malformed_line(self, kind, second, message):
         parse, line = JSONL_KINDS[kind]
@@ -171,6 +176,22 @@ class TestJsonLinesReader:
         parse, line = JSONL_KINDS[kind]
         with pytest.raises(RecordError, match=r"line 3: duplicate id 'a' \(first on line 1\)"):
             parse(f"{line}\n\n{line}\n")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"],
+                             ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_separators_stay_inside_strings(self, kind, separator):
+        parse, line = JSONL_KINDS[kind]
+        rid = f"b{separator}c"
+        second = line.replace('"a"', json.dumps(rid, ensure_ascii=False))
+        records = parse(f"{line}\n{second}\n".encode())
+        assert [r.instance_id for r in records] == ["a", rid]
+
+    def test_crlf_line_endings(self, kind):
+        parse, line = JSONL_KINDS[kind]
+        second = line.replace('"a"', '"b"')
+        with pytest.raises(RecordError, match=r"line 4: duplicate id 'a' \(first on line 1\)"):
+            parse(f"{line}\r\n{second}\r\n\r\n{line}\r\n".encode())
+        assert len(parse(f"{line}\r\n{second}\r\n")) == 2
 
 
 def test_csv_duplicate_id_names_both_lines():
