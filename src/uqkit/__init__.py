@@ -41,6 +41,7 @@ from .records import (
     PredictionRecord,
     RecordError,
     RecordFormat,
+    RecordTable,
     binarize_multilabel,
     derive_io_outcomes,
     derive_outcomes,
@@ -76,6 +77,7 @@ __all__ = [
     "PredictionRecord",
     "RecordError",
     "RecordFormat",
+    "RecordTable",
     "ScoreReport",
     "SynthOutcomeConfig",
     "SynthUdistConfig",

@@ -24,6 +24,8 @@ import numpy as np
 from .records import OutcomeSet
 
 AUCCC_CONSISTENCY_TOL = 1e-12
+# the doubled rank sum of n outcomes reaches n(n + 1), computed in int64
+_RANK_SUM_LIMIT = int(np.iinfo(np.int64).max)
 
 
 class DegenerateOutcomesError(ValueError):
@@ -162,6 +164,9 @@ def auccc_rank(outcomes: OutcomeSet) -> float:
     the result bit-identical.
     """
     n_correct, n_incorrect = _class_counts(outcomes)
+    n = len(outcomes)
+    if n * (n + 1) > _RANK_SUM_LIMIT:
+        raise ValueError(f"{n} outcomes overflow the 64-bit rank sum")
     order = np.argsort(outcomes.confidence, kind="stable")
     conf = outcomes.confidence[order]
     correct = outcomes.correct[order]

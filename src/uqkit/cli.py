@@ -78,17 +78,17 @@ def _load_outcomes(args):
         recs = parse_multilabel_records(data)
         return binarize_multilabel(recs, args.threshold)
     fmt = RecordFormat(args.input_format) if args.input_format else RecordFormat.for_path(path)
-    recs = parse_records(data, fmt)
+    table = parse_records(data, fmt)
     source = ConfidenceSource(args.confidence_source)
     if args.mode == "standard":
-        recs = [r for r in recs if r.dist_tag is DistTag.IN_DISTRIBUTION]
-        if not recs:
+        table = table.take(~table.ood)
+        if not len(table):
             raise RecordError("no in-distribution records in input")
-        return derive_outcomes(recs, source)
+        return derive_outcomes(table, source)
     if args.mode == "ood-unified":
-        return derive_outcomes(recs, source)
+        return derive_outcomes(table, source)
     if args.mode == "io-auroc":
-        return derive_io_outcomes(recs, source)
+        return derive_io_outcomes(table, source)
     raise ValueError(f"unknown mode: {args.mode!r}")
 
 

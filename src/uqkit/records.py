@@ -14,6 +14,19 @@ Wire formats (both round-trip losslessly for records the toolkit emits):
   ``conf`` (optional), ``tag`` ("id" | "ood", default "id").
 - CSV: header ``id,pred,true,conf,tag,p0,...,pK``; empty cells denote
   absent optionals.
+
+:func:`parse_records` returns a :class:`RecordTable`: one column per field
+(``ids``; int64 ``pred``; int64 ``true``, -1 where absent; float64
+``conf``, NaN where absent; bool ``ood``; float64 ``probs`` of shape
+(n, K), or None), which reads as a sequence of :class:`PredictionRecord`.
+Files whose rows all have the same shape (string ids, integer labels,
+numbers, K probabilities on every row or on none) are read in chunks of
+``_PARSE_CHUNK`` lines into columns, and every record invariant is checked
+on whole columns. Any other file, and any file with a row that fails a
+check, is read by the scalar reference path instead: one
+:class:`PredictionRecord` per row, validated row by row, which raises the
+line-numbered error for the first faulty row. The two paths give equal
+tables, and the scalar path defines every message.
 """
 
 from __future__ import annotations
@@ -22,13 +35,16 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 PROB_SUM_TOLERANCE = 1e-6
+_LABEL_MIN, _LABEL_MAX = -(2**63), 2**63 - 1  # labels are held as int64
 
 
 class RecordError(ValueError):
@@ -72,8 +88,8 @@ class PredictionRecord:
     probabilities must lie in [0, 1] and sum to 1 within 1e-6, the
     predicted label must be the (first) argmax of the probabilities, a
     true label must be non-negative and, with probabilities, below their
-    count, confidence must lie in [0, 1], and in-distribution records must
-    carry a true label.
+    count, labels must fit in 64 bits, confidence must lie in [0, 1], and
+    in-distribution records must carry a true label.
     """
 
     instance_id: str
@@ -110,12 +126,114 @@ class PredictionRecord:
                     f"record {self.instance_id!r}: true label {self.true_label} "
                     f"out of range{classes}"
                 )
+        if self.probs is None:  # with probabilities, both labels lie in [0, K)
+            for label in (self.pred_label, self.true_label):
+                if label is not None and not _LABEL_MIN <= label <= _LABEL_MAX:
+                    raise RecordError(
+                        f"record {self.instance_id!r}: label {label} does not fit in 64 bits"
+                    )
         if self.confidence is not None and not (0.0 <= self.confidence <= 1.0):
             raise RecordError(f"record {self.instance_id!r}: confidence out of range")
         if self.dist_tag is DistTag.IN_DISTRIBUTION and self.true_label is None:
             raise RecordError(
                 f"record {self.instance_id!r}: in-distribution record lacks a true label"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable(Sequence):
+    """Prediction records as columns, read as a sequence of :class:`PredictionRecord`.
+
+    ``ids`` holds the instance ids; ``pred`` (int64) the predicted labels;
+    ``true`` (int64) the true labels, -1 where absent; ``conf`` (float64)
+    the explicit confidences, NaN where absent; ``ood`` (bool) the
+    out-of-distribution tags; ``probs`` (float64, shape (n, K)) the
+    probability vectors, None when no row has one. A row with fewer than K
+    probabilities, or none, is padded with NaN, which no probability can be.
+    Indexing builds (and so re-validates) the record; a table equals any
+    sequence of the same records.
+    """
+
+    ids: list[str]
+    pred: np.ndarray
+    true: np.ndarray
+    conf: np.ndarray
+    ood: np.ndarray
+    probs: np.ndarray | None
+
+    @classmethod
+    def from_records(cls, records: Sequence[PredictionRecord]) -> "RecordTable":
+        k = max((len(r.probs) for r in records if r.probs is not None), default=0)
+        probs = np.full((len(records), k), np.nan) if k else None
+        for i, r in enumerate(records):
+            if r.probs is not None:
+                probs[i, : len(r.probs)] = r.probs
+        return cls(
+            ids=[r.instance_id for r in records],
+            pred=np.array([r.pred_label for r in records], dtype=np.int64),
+            true=np.array([-1 if r.true_label is None else r.true_label for r in records],
+                          dtype=np.int64),
+            conf=np.array([np.nan if r.confidence is None else r.confidence for r in records],
+                          dtype=np.float64),
+            ood=np.array([r.dist_tag is DistTag.OUT_OF_DISTRIBUTION for r in records],
+                         dtype=bool),
+            probs=probs,
+        )
+
+    def take(self, rows) -> "RecordTable":
+        """The table of the rows that a boolean mask or an index array selects, in its order."""
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        return RecordTable(
+            ids=[self.ids[i] for i in rows.tolist()],
+            pred=self.pred[rows],
+            true=self.true[rows],
+            conf=self.conf[rows],
+            ood=self.ood[rows],
+            probs=None if self.probs is None else self.probs[rows],
+        )
+
+    def prob_counts(self) -> np.ndarray:
+        """The number of probabilities on each row; 0 where a row has none."""
+        if self.probs is None:
+            return np.zeros(len(self), dtype=np.int64)
+        return np.count_nonzero(~np.isnan(self.probs), axis=1)
+
+    def _record(self, i: int) -> PredictionRecord:
+        probs = None
+        if self.probs is not None:
+            row = self.probs[i]
+            probs = tuple(row[~np.isnan(row)].tolist()) or None
+        true, conf = int(self.true[i]), float(self.conf[i])
+        return PredictionRecord(
+            instance_id=self.ids[i],
+            pred_label=int(self.pred[i]),
+            probs=probs,
+            true_label=None if true < 0 else true,
+            confidence=None if math.isnan(conf) else conf,
+            dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        return self._record(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[PredictionRecord]:
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _as_table(records: Sequence[PredictionRecord]) -> RecordTable:
+    return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -220,6 +338,72 @@ def _located(rows: Iterable[tuple[str, object]], build: Callable[[object], objec
     return records
 
 
+_PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
+
+# the bytes a JSON text's nesting depends on (quotes, brackets, backslashes)
+# and the line feeds that join a chunk's lines; every other byte is dropped
+_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b'"[]{}\\\n')
+_NESTING = np.zeros(256, dtype=np.int8)
+_NESTING[list(b"[{")] = 1
+_NESTING[list(b"]}")] = -1
+
+
+def _json_line(where: str, line: str) -> dict:
+    """One JSON Lines line decoded on its own; errors name ``where``."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"{where}: malformed JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:
+        raise RecordError(f"{where}: malformed JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise RecordError(f"{where}: expected a JSON object")
+    return obj
+
+
+def _joined_objects(lines: list[str]) -> list[dict] | None:
+    """The lines' objects from one ``json.loads`` of the lines as a JSON array, or None.
+
+    The lines are joined by a comma and a line feed. A JSON string cannot
+    hold a raw line feed, so no string spans two lines, and each line holds
+    exactly one value when the array has one value per line and every
+    joining comma lies outside all brackets. None when the chunk does not
+    parse, a value is not an object, or that cannot be shown (an escaped
+    quote hides where a string ends): then each line is decoded on its own.
+    """
+    joined = ",\n".join(lines)
+    try:
+        values = json.loads(f"[{joined}]")
+    except (ValueError, RecursionError):
+        return None
+    if len(values) != len(lines) or set(map(type, values)) != {dict}:
+        return None
+    marks = joined.encode(errors="surrogatepass").translate(None, _NOT_STRUCTURE)
+    if b'\\"' in marks:
+        return None
+    codes = np.frombuffer(marks, dtype=np.uint8)
+    in_string = np.cumsum(codes == ord('"')) % 2 == 1
+    depth = np.cumsum(np.where(in_string, 0, _NESTING[codes]), dtype=np.int64)
+    return None if depth[codes == ord("\n")].any() else values
+
+
+def _jsonl_chunks(stream) -> Iterator[tuple[list[int], Iterable[dict]]]:
+    """Line numbers and objects of each run of up to ``_PARSE_CHUNK`` non-blank lines.
+
+    A run that one ``json.loads`` cannot take (:func:`_joined_objects`) is
+    decoded line by line, lazily, so a faulty line raises only once reached.
+    """
+    lines = _as_text(stream).split("\n")
+    numbered = [n for n, line in enumerate(lines, start=1) if line and not line.isspace()]
+    for start in range(0, len(numbered), _PARSE_CHUNK):
+        linenos = numbered[start : start + _PARSE_CHUNK]
+        chunk = [lines[n - 1] for n in linenos]
+        objects = _joined_objects(chunk)
+        if objects is None:
+            objects = map(_json_line, [f"line {n}" for n in linenos], chunk)
+        yield linenos, objects
+
+
 def _jsonl_objects(stream) -> Iterator[tuple[str, dict]]:
     """Yield ``("line N", object)`` for each non-blank line of a JSON Lines stream.
 
@@ -230,19 +414,9 @@ def _jsonl_objects(stream) -> Iterator[tuple[str, dict]]:
     a line is not JSON (nesting too deep or an integer too long included),
     or a line holds anything but a JSON object.
     """
-    for lineno, line in enumerate(_as_text(stream).split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"{where}: malformed JSON ({exc.msg})") from None
-        except (ValueError, RecursionError) as exc:
-            raise RecordError(f"{where}: malformed JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise RecordError(f"{where}: expected a JSON object")
-        yield where, obj
+    for linenos, objects in _jsonl_chunks(stream):
+        for lineno, obj in zip(linenos, objects):
+            yield f"line {lineno}", obj
 
 
 # the scalar fields of a prediction record: JSON keys and leading CSV columns
@@ -256,12 +430,34 @@ def _integral(*labels) -> None:
             raise RecordError(f"label {label!r} is not an integer")
 
 
+def _no_booleans(*fields) -> None:
+    """Reject JSON ``true``/``false`` where a number or an array of numbers belongs.
+
+    Python would count them as 1 and 0.
+    """
+    for field in fields:
+        if bool in map(type, field if isinstance(field, list) else (field,)):
+            raise RecordError("boolean where a number is expected")
+
+
+_NOT_ID = {dict: "an object", list: "an array", bool: "a boolean"}
+
+
+def _record_id(rid) -> str:
+    """An instance id: a JSON string or number, never an object, array or boolean."""
+    if type(rid) in _NOT_ID:
+        raise RecordError(f"id must be a string or a number, not {_NOT_ID[type(rid)]}")
+    return str(rid)
+
+
 def _record_from_fields(rid, pred, true, conf, tag, probs) -> PredictionRecord:
     if rid is None:
         raise RecordError("missing 'id'")
+    instance_id = _record_id(rid)
     if probs is None and pred is None:
         raise RecordError("need 'pred' or 'probs'")
     _integral(pred, true)
+    _no_booleans(pred, true, conf, probs)
     try:
         probs_t = tuple(float(p) for p in probs) if probs is not None else None
         pred_i = int(pred) if pred is not None else first_argmax(probs_t)
@@ -270,7 +466,7 @@ def _record_from_fields(rid, pred, true, conf, tag, probs) -> PredictionRecord:
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
     return PredictionRecord(
-        instance_id=str(rid),
+        instance_id=instance_id,
         pred_label=pred_i,
         probs=probs_t,
         true_label=true_i,
@@ -299,45 +495,197 @@ def _csv_record(row: list[str], n_cells: int) -> PredictionRecord:
     return _record_from_fields(*cells[: len(_FIELDS)], probs)
 
 
-def _parse_csv(text: str) -> list[PredictionRecord]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-        if header is None:
-            return []
+def _csv_header(reader) -> list[str] | None:
+    """The CSV reader's header row, checked; None for empty text."""
+    header = next(reader, None)
+    if header is not None:
         expected = list(_FIELDS) + [f"p{k}" for k in range(len(header) - len(_FIELDS))]
         if header != expected:
             raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
+    return header
+
+
+def _parse_csv(text: str) -> list[PredictionRecord]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = _csv_header(reader)
+        if header is None:
+            return []
         rows = ((f"line {n}", row) for n, row in enumerate(reader, start=2) if row)
         return _located(rows, lambda row: _csv_record(row, len(header)))
     except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
         raise RecordError(f"line {reader.line_num}: malformed CSV ({exc})") from None
 
 
-def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> list[PredictionRecord]:
+def _scalar_records(text: str, fmt: RecordFormat) -> list[PredictionRecord]:
+    """The reference reader: one :class:`PredictionRecord` per row, checked row by row."""
+    if fmt is RecordFormat.JSON_LINES:
+        return _located(_jsonl_objects(text), _jsonl_record)
+    return _parse_csv(text)
+
+
+# raw tag values a record may carry, and whether each means out-of-distribution
+_TAG_IS_OOD = {None: False, "": False, "id": False, "ood": True}
+_LABEL_TYPES = {int, type(None)}
+_NUMBER_TYPES = {int, float, type(None)}
+
+
+def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
+    """Per row of probabilities in [0, 1]: does its exact sum lie within tolerance of 1?
+
+    numpy's sum differs from the correctly rounded ``math.fsum`` of
+    :class:`PredictionRecord` by at most (K + 1) ulp of 1 on rows that sum
+    to at most 2; rows whose numpy sum lies that close to the tolerance's
+    edge are summed again with ``math.fsum``.
+    """
+    sums = probs.sum(axis=1)
+    slack = 2 * (probs.shape[1] + 1) * np.finfo(np.float64).eps
+    edge = np.flatnonzero(np.abs(np.abs(sums - 1.0) - PROB_SUM_TOLERANCE) <= slack)
+    sums[edge] = [math.fsum(row) for row in probs[edge].tolist()]
+    return np.abs(sums - 1.0) <= PROB_SUM_TOLERANCE
+
+
+def _checked_rows(ids, pred, true, conf, tag, probs) -> RecordTable | None:
+    """A chunk as a table when every row meets every :class:`PredictionRecord` invariant.
+
+    ``ids`` are strings; ``pred``, ``true`` and ``conf`` Python numbers or
+    None; ``tag`` raw tag values; ``probs`` an (n, K) array or None. None
+    when any row fails a check: the scalar path then names the fault.
+    """
+    if not set(tag) <= _TAG_IS_OOD.keys():
+        return None
+    ood = np.array([_TAG_IS_OOD[t] for t in tag], dtype=bool)
+    true_given = np.array([t is not None for t in true], dtype=bool)
+    true = np.array([-1 if t is None else t for t in true], dtype=np.int64)
+    conf_given = np.array([c is not None for c in conf], dtype=bool)
+    conf = np.array(conf, dtype=np.float64)  # None reads as NaN
+    bad = (
+        (true_given & (true < 0))
+        | (~true_given & ~ood)
+        | (conf_given & ~((conf >= 0.0) & (conf <= 1.0)))
+    )
+    if probs is None:
+        if None in pred:
+            return None
+        pred = np.array(pred, dtype=np.int64)
+    else:
+        if probs.shape[1] == 0 or not ((probs >= 0.0) & (probs <= 1.0)).all():
+            return None
+        top = probs.argmax(axis=1)  # the first maximum, as first_argmax
+        pred = np.array([t if p is None else p for p, t in zip(pred, top.tolist())],
+                        dtype=np.int64)
+        bad |= (pred != top) | (true >= probs.shape[1]) | ~_sums_within_tolerance(probs)
+    if bad.any():
+        return None
+    return RecordTable(ids=ids, pred=pred, true=true, conf=conf, ood=ood, probs=probs)
+
+
+def _jsonl_rows(objects: list[dict]) -> RecordTable | None:
+    """A chunk of JSON Lines objects as a table, if each has the canonical shape and is valid."""
+    ids, pred, true, conf, tag, probs = ([obj.get(key) for obj in objects]
+                                         for key in (*_FIELDS, "probs"))
+    if not (set(map(type, ids)) == {str} and set(map(type, pred)) <= _LABEL_TYPES
+            and set(map(type, true)) <= _LABEL_TYPES and set(map(type, conf)) <= _NUMBER_TYPES):
+        return None
+    prob_types = set(map(type, probs))
+    if prob_types == {type(None)}:
+        block = None
+    elif prob_types == {list} and set(map(type, chain.from_iterable(probs))) <= {int, float}:
+        block = np.array(probs, dtype=np.float64)  # ValueError when ragged
+    else:
+        return None
+    return _checked_rows(ids, pred, true, conf, tag, block)
+
+
+def _csv_rows(rows: list[list[str]], n_cells: int) -> RecordTable | None:
+    """A chunk of CSV rows as a table, if every row is complete and valid."""
+    if set(map(len, rows)) != {n_cells}:
+        return None
+    ids, pred, true, conf, tag, *prob_columns = zip(*rows)
+    if "" in ids:
+        return None
+    block = None
+    if prob_columns and not all(set(column) == {""} for column in prob_columns):
+        # float() per cell, as the scalar path; an empty cell raises ValueError
+        block = np.array([row[len(_FIELDS) :] for row in rows], dtype=np.float64)
+    return _checked_rows(
+        list(ids),
+        [int(c) if c else None for c in pred],
+        [int(c) if c else None for c in true],
+        [float(c) if c else None for c in conf],
+        tag,
+        block,
+    )
+
+
+def _csv_chunks(reader) -> Iterator[list[list[str]]]:
+    """The CSV reader's non-blank rows, in runs read ``_PARSE_CHUNK`` rows at a time."""
+    while block := list(islice(reader, _PARSE_CHUNK)):
+        if rows := [row for row in block if row]:
+            yield rows
+
+
+def _concatenated(tables: list[RecordTable]) -> RecordTable | None:
+    """One table of the chunks' tables, or None if they differ in class count or repeat an id."""
+    widths = {None if t.probs is None else t.probs.shape[1] for t in tables}
+    ids = list(chain.from_iterable(t.ids for t in tables))
+    if len(widths) > 1 or len(set(ids)) < len(ids):
+        return None
+    if not tables:
+        return RecordTable.from_records([])
+    return RecordTable(
+        ids=ids,
+        pred=np.concatenate([t.pred for t in tables]),
+        true=np.concatenate([t.true for t in tables]),
+        conf=np.concatenate([t.conf for t in tables]),
+        ood=np.concatenate([t.ood for t in tables]),
+        probs=None if widths == {None} else np.concatenate([t.probs for t in tables]),
+    )
+
+
+def _column_table(text: str, fmt: RecordFormat) -> RecordTable | None:
+    """The records as columns, read chunk by chunk; None unless every row is canonical and valid."""
+    try:
+        if fmt is RecordFormat.JSON_LINES:
+            tables = [_jsonl_rows(list(objects)) for _, objects in _jsonl_chunks(text)]
+        else:
+            reader = csv.reader(io.StringIO(text))
+            header = _csv_header(reader)
+            chunks = _csv_chunks(reader) if header else ()
+            tables = [_csv_rows(rows, len(header)) for rows in chunks]
+    except (TypeError, ValueError, OverflowError, csv.Error):  # RecordError included
+        return None
+    return None if any(t is None for t in tables) else _concatenated(tables)
+
+
+def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> RecordTable:
     """Parse prediction records from a byte/text stream, preserving order.
 
     Raises :class:`RecordError` naming the offending line on any malformed
     input, invariant violation or repeated instance id.
     """
-    if fmt is RecordFormat.JSON_LINES:
-        return _located(_jsonl_objects(stream), _jsonl_record)
-    if fmt is RecordFormat.CSV:
-        return _parse_csv(_as_text(stream))
-    raise ValueError(f"unknown record format: {fmt!r}")
+    if fmt is not RecordFormat.JSON_LINES and fmt is not RecordFormat.CSV:
+        raise ValueError(f"unknown record format: {fmt!r}")
+    text = _as_text(stream)
+    table = _column_table(text, fmt)
+    if table is None:
+        table = RecordTable.from_records(_scalar_records(text, fmt))
+    return table
 
 
 def _multilabel_record(obj: dict) -> MultiLabelRecord:
     if obj.get("id") is None or obj.get("probs") is None or obj.get("truths") is None:
         raise RecordError("need 'id', 'probs' and 'truths'")
+    instance_id = _record_id(obj["id"])
     try:
         probs = tuple(float(p) for p in obj["probs"])
         truths = tuple(int(t) for t in obj["truths"])
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
     _integral(*obj["truths"])
+    _no_booleans(obj["probs"], obj["truths"])
     return MultiLabelRecord(
-        instance_id=str(obj["id"]),
+        instance_id=instance_id,
         per_class_probs=probs,
         true_labels=truths,
         dist_tag=_parse_tag(obj.get("tag")),
@@ -411,16 +759,20 @@ def write_records_csv(records: Sequence[PredictionRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _confidence_of(record: PredictionRecord, source: ConfidenceSource) -> float:
+def _confidence_column(table: RecordTable, source: ConfidenceSource) -> np.ndarray:
+    """Each row's confidence from ``source``; the first row lacking it is an error."""
     if source is ConfidenceSource.EXPLICIT_FIELD:
-        if record.confidence is None:
-            raise RecordError(f"record {record.instance_id!r}: no explicit confidence field")
-        return record.confidence
-    if source is ConfidenceSource.MAX_SOFTMAX:
-        if record.probs is None:
-            raise RecordError(f"record {record.instance_id!r}: no probability vector")
-        return max(record.probs)
-    raise ValueError(f"unknown confidence source: {source!r}")
+        confidence, lack = table.conf, "no explicit confidence field"
+    elif source is ConfidenceSource.MAX_SOFTMAX:
+        confidence, lack = np.full(len(table), np.nan), "no probability vector"
+        if table.probs is not None:
+            confidence = np.fmax.reduce(table.probs, axis=1)  # NaN padding ignored
+    else:
+        raise ValueError(f"unknown confidence source: {source!r}")
+    missing = np.flatnonzero(np.isnan(confidence))
+    if len(missing):
+        raise RecordError(f"record {table.ids[missing[0]]!r}: {lack}")
+    return confidence
 
 
 def derive_outcomes(
@@ -434,15 +786,9 @@ def derive_outcomes(
     out-of-distribution record counts as incorrect, which folds OOD
     detection into the same evaluation as in-distribution confidence.
     """
-    correct = []
-    confidence = []
-    for rec in records:
-        is_correct = (
-            rec.dist_tag is DistTag.IN_DISTRIBUTION and rec.pred_label == rec.true_label
-        )
-        correct.append(is_correct)
-        confidence.append(_confidence_of(rec, confidence_source))
-    return OutcomeSet(correct, confidence)
+    table = _as_table(records)
+    confidence = _confidence_column(table, confidence_source)
+    return OutcomeSet(~table.ood & (table.pred == table.true), confidence)
 
 
 def derive_io_outcomes(
@@ -454,9 +800,8 @@ def derive_io_outcomes(
     Classification correctness is ignored entirely; feeding the result to
     the AUCCC machinery yields the in/out-of-distribution separation AUROC.
     """
-    correct = [rec.dist_tag is DistTag.IN_DISTRIBUTION for rec in records]
-    confidence = [_confidence_of(rec, confidence_source) for rec in records]
-    return OutcomeSet(correct, confidence)
+    table = _as_table(records)
+    return OutcomeSet(~table.ood, _confidence_column(table, confidence_source))
 
 
 def binarize_multilabel(

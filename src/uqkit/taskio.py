@@ -23,10 +23,14 @@ from .records import (
     PredictionRecord,
     RecordError,
     RecordFormat,
+    RecordTable,
+    _as_table,
     _integral,
     _jsonl_objects,
     _jsonl_text,
     _located,
+    _no_booleans,
+    _record_id,
     parse_records,
 )
 
@@ -45,13 +49,14 @@ class FeatureRecord:
 def _feature_record(obj: dict) -> FeatureRecord:
     if any(obj.get(key) is None for key in ("id", "features", "true")):
         raise RecordError("need 'id', 'features' and 'true' (the class label)")
+    rid = _record_id(obj["id"])
     _integral(obj["true"])
+    _no_booleans(obj["features"], obj["true"])
     try:
         features = tuple(float(v) for v in obj["features"])
         true_label = int(obj["true"])
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
-    rid = str(obj["id"])
     bad = next((v for v in features if not math.isfinite(v)), None)
     if bad is not None:  # NaN, Infinity, or a literal such as 1e999 that overflows
         raise RecordError(f"record {rid!r}: feature {bad} is not finite")
@@ -98,7 +103,7 @@ def collect_member_paths(paths: Sequence[str]) -> list[Path]:
     return out
 
 
-def load_member_records(paths: Sequence[Path]) -> list[list[PredictionRecord]]:
+def load_member_records(paths: Sequence[Path]) -> list[RecordTable]:
     members = []
     for p in paths:
         with naming_file(p):
@@ -118,28 +123,33 @@ def align_members(
     """
     if len(members) == 0 or len(members[0]) == 0:
         raise RecordError("need at least one non-empty ensemble member")
-    first = members[0]
-    ids = [rec.instance_id for rec in first]
-    labels = [(rec.true_label, rec.dist_tag) for rec in first]
-    n_classes = len(first[0].probs or ())
+    tables = [_as_table(member) for member in members]
+    first = tables[0]
+    ids = first.ids
+    n_classes = first.prob_counts()[0]
     blocks = []
-    for m, recs in enumerate(members):
-        index = {rec.instance_id: rec for rec in recs}
-        try:
-            rows = [index[rid] for rid in ids]
-        except KeyError as exc:
-            raise RecordError(f"member {m}: missing instance id {exc.args[0]!r}") from None
-        if len(index) > len(ids):
+    for m, table in enumerate(tables):
+        row_of = {rid: j for j, rid in enumerate(table.ids)}
+        take = [row_of.get(rid) for rid in ids]
+        if None in take:
+            raise RecordError(f"member {m}: missing instance id {ids[take.index(None)]!r}")
+        if len(row_of) > len(ids):
             known = set(ids)
-            extra = next(rid for rid in index if rid not in known)
+            extra = next(rid for rid in row_of if rid not in known)
             raise RecordError(f"member {m}: instance id {extra!r} is not in member 0")
-        for rid, rec, label in zip(ids, rows, labels):
-            if rec.probs is None:
-                raise RecordError(f"member {m}: record {rid!r} has no probability vector")
-            if len(rec.probs) != n_classes:
-                raise RecordError(f"member {m}: record {rid!r} has {len(rec.probs)} classes")
-            if (rec.true_label, rec.dist_tag) != label:
-                raise RecordError(f"member {m}: record {rid!r} disagrees on label or tag")
-        blocks.append(np.asarray([rec.probs for rec in rows], dtype=np.float64))
-    trues = [rec.true_label for rec in first]
-    return ids, np.stack(blocks, axis=1), trues, [rec.dist_tag for rec in first]
+        rows = np.array(take, dtype=np.int64)
+        counts = table.prob_counts()[rows]
+        agrees = (table.true[rows] == first.true) & (table.ood[rows] == first.ood)
+        faults = np.flatnonzero((counts == 0) | (counts != n_classes) | ~agrees)
+        if len(faults):
+            i = faults[0]
+            if counts[i] == 0:
+                raise RecordError(f"member {m}: record {ids[i]!r} has no probability vector")
+            if counts[i] != n_classes:
+                raise RecordError(f"member {m}: record {ids[i]!r} has {counts[i]} classes")
+            raise RecordError(f"member {m}: record {ids[i]!r} disagrees on label or tag")
+        blocks.append(table.probs[rows])
+    trues = [None if t < 0 else t for t in first.true.tolist()]
+    tags = [DistTag.OUT_OF_DISTRIBUTION if o else DistTag.IN_DISTRIBUTION
+            for o in first.ood.tolist()]
+    return ids, np.stack(blocks, axis=1), trues, tags

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pairwise_auccc
+from uqkit import ccc
 from uqkit.ccc import (
     DegenerateOutcomesError,
     auccc_rank,
@@ -144,6 +145,15 @@ class TestAuccc:
     def test_complement_symmetry(self, s):
         flipped = OutcomeSet(~s.correct, s.confidence)
         assert abs(auccc_rank(flipped) - (1.0 - auccc_rank(s))) <= 1e-12
+
+
+    def test_rank_sum_overflow_is_an_error(self, monkeypatch):
+        # four outcomes have a doubled rank sum of at most 4 * 5 = 20
+        monkeypatch.setattr(ccc, "_RANK_SUM_LIMIT", 20)
+        assert auccc_rank(FOUR) == 0.75
+        monkeypatch.setattr(ccc, "_RANK_SUM_LIMIT", 19)
+        with pytest.raises(ValueError, match="4 outcomes overflow the 64-bit rank sum"):
+            auccc_rank(FOUR)
 
 
 class TestInvariances:

@@ -95,9 +95,15 @@ class TestEval:
              "true label 2 out of range for 2 classes"),
             ("fraction.jsonl", '{"id":"a","pred":1,"true":1.7,"conf":0.9}\n'
              '{"id":"b","pred":0,"true":0.2,"conf":0.4}\n', "line 1: label 1.7 is not an integer"),
+            ("object-id.jsonl", '{"id":{"k":1},"pred":0,"true":0,"conf":0.5}\n',
+             "line 1: id must be a string or a number, not an object"),
+            ("boolean-conf.jsonl", '{"id":"a","pred":0,"true":0,"conf":true}\n',
+             "line 1: boolean where a number is expected"),
+            ("huge-label.jsonl", '{"id":"a","pred":100000000000000000000,"true":0,"conf":0.5}\n',
+             "line 1: record 'a': label 100000000000000000000 does not fit in 64 bits"),
         ],
         ids=["deep-nesting", "duplicate-id", "duplicate-id-csv", "oversized-cell", "label",
-             "fractional-label"],
+             "fractional-label", "object-id", "boolean-confidence", "huge-label"],
     )
     def test_hostile_input_exits_one(self, tmp_path, capsys, name, content, fragment):
         path = tmp_path / name

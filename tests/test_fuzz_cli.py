@@ -17,17 +17,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from uqkit import records
 from uqkit.cli import main
 
 FUZZ_EXAMPLES = 20  # per case; keeps the whole module to a few seconds
 
 # splices that reach the parsers' edge cases: structure, non-finite and huge
-# numbers, labels outside the classes, deep nesting, bad UTF-8, a CSV cell over
-# the csv module's field size limit, and the Unicode line separators that JSON
-# allows raw inside strings
+# numbers, labels outside the classes, booleans, objects and arrays where numbers
+# or ids belong, deep nesting, bad UTF-8, a CSV cell over the csv module's field
+# size limit, and the Unicode line separators that JSON allows raw inside strings
 TOKENS = [
     b"[" * 5000, b"{", b"}", b"[", b"]", b'"', b",", b":", b"\n", b"\r", b"\xff", b"\x00",
-    b"NaN", b"Infinity", b"-1", b"7", b"0", b"1e999", b"1" * 5000, b"null", b"true",
+    b"NaN", b"Infinity", b"-1", b"7", b"0", b"1e999", b"1" * 5000, b"null", b"true", b"false",
     b'"ood"', b'"id"', b"[]", b"{}", b"0.5", b"x" * 140_000,
     "\u2028".encode(), "\u2029".encode(), "\u0085".encode(),
 ]
@@ -53,6 +54,12 @@ RECORDS_CSV = (
         for i, (rid, p, t) in enumerate(zip(IDS, PROBS, TRUES))
     )
 ).encode()
+# more lines than the reader parses at once, so splices land in any chunk
+MANY_RECORDS = jsonl(
+    {"id": f"r{i}", "probs": PROBS[i % 4], "pred": PROBS[i % 4].index(max(PROBS[i % 4])),
+     "true": TRUES[i % 4], "conf": (i % 97) / 100}
+    for i in range(2 * records._PARSE_CHUNK + 5)
+)
 MULTI_LABEL = jsonl(
     {"id": rid, "probs": p, "truths": [int(k == t) for k in range(3)]}
     for rid, p, t in zip(IDS, PROBS, TRUES)
@@ -81,6 +88,7 @@ TRAIN = ["distill", "--train", "{features}", "--ensemble-dirs", "{member0}", "{m
 CASES = {
     "records-jsonl": ("target.jsonl", RECORDS, EVAL + ["--mode", "ood-unified"]),
     "records-csv": ("target.csv", RECORDS_CSV, EVAL),
+    "records-chunks": ("target.jsonl", MANY_RECORDS, EVAL),
     "curve": ("target.jsonl", RECORDS, ["curve", "{target}", "--mode", "ood-unified",
                                         "--out", "{out}"]),
     "records-max-softmax": ("target.jsonl", RECORDS, EVAL + ["--confidence-source",

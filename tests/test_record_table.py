@@ -1,0 +1,285 @@
+"""The columnar record reader against the scalar reference reader.
+
+``parse_records`` reads files whose rows all have the canonical shape into
+numpy columns and checks every record invariant on whole columns; any
+other file, or one with a faulty row, goes through the scalar path that
+builds one ``PredictionRecord`` per row. Both must give the same records,
+or the same error message, on every file.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from uqkit import records
+from uqkit.records import (
+    ConfidenceSource,
+    DistTag,
+    PredictionRecord,
+    RecordError,
+    RecordFormat,
+    RecordTable,
+    derive_io_outcomes,
+    derive_outcomes,
+    parse_records,
+)
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def prob_rows(draw, k: int, edge: bool = False):
+    """K probabilities summing to 1 up to rounding, or a few ulp from 1 +- 1e-6 on an edge row."""
+    weights = draw(st.lists(st.integers(0, 50), min_size=k, max_size=k))
+    weights[draw(st.integers(0, k - 1))] += 1  # at least one positive weight
+    target = 1.0
+    if edge:
+        target = 1.0 + draw(st.sampled_from([-1e-6, 1e-6])) + draw(st.integers(-4, 4)) * EPS
+    total = sum(weights)
+    return [min(w / total * target, 1.0) for w in weights]
+
+
+# faults spliced into one row of a valid file, each a dict update (None deletes the key)
+FAULTS = {
+    "prob-range": lambda row, k: (
+        {"probs": [1.5] + row["probs"][1:]} if "probs" in row else {"conf": 2.0}),
+    "pred-mismatch": lambda row, k: (
+        {"pred": (row.get("pred", 0) + 1) % k} if "probs" in row else {"pred": None}),
+    "true-range": lambda row, k: {"true": k if "probs" in row else -1},
+    "id-lacks-true": lambda row, k: {"true": None, "tag": "id"},
+    "conf-range": lambda row, k: {"conf": 1.0 + 1e-9},
+    "conf-nan": lambda row, k: {"conf": float("nan")},
+    "boolean-pred": lambda row, k: {"pred": True, "probs": None},
+    "unknown-tag": lambda row, k: {"tag": "weird"},
+    "missing-id": lambda row, k: {"id": None},
+    "empty-probs": lambda row, k: {"probs": []},
+    "fractional-label": lambda row, k: {"true": 0.5},
+}
+
+# shape variants that are valid but leave the canonical path: the scalar path reads them
+VARIANTS = ["ragged", "mixed-probs", "string-numbers", "integer-id", "float-label", "no-pred"]
+
+
+@st.composite
+def record_files(draw):
+    """(rows, canonical): JSON-ready rows, and whether every row has the canonical shape."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    with_probs = draw(st.booleans())
+    edge_row = draw(st.integers(-3 * n, n - 1))  # a row whose sum sits at the tolerance edge
+    rows = []
+    for i in range(n):
+        row = {"id": f"r{i}"}
+        ood = draw(st.integers(0, 4)) == 0
+        if with_probs:
+            row["probs"] = draw(prob_rows(k, edge=i == edge_row))
+            row["pred"] = int(np.argmax(row["probs"]))
+        else:
+            row["pred"] = draw(st.integers(0, k - 1))
+        if not ood or draw(st.booleans()):
+            row["true"] = draw(st.integers(0, k - 1))
+        if draw(st.booleans()):
+            row["conf"] = draw(st.floats(0.0, 1.0))
+        tag = "ood" if ood else draw(st.sampled_from(["id", "", None]))
+        if tag is not None:
+            row["tag"] = tag
+        rows.append(row)
+    canonical = True
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        variant = draw(st.sampled_from(VARIANTS + ["fault"] * 4 + ["repeated-id"]))
+        row = rows[i]
+        canonical = False
+        if variant == "fault":
+            update = FAULTS[draw(st.sampled_from(sorted(FAULTS)))](row, k)
+            row.update(update)
+        elif variant == "repeated-id":
+            row["id"] = rows[draw(st.integers(0, n - 1))]["id"]
+        elif variant == "ragged" and "probs" in row:
+            row["probs"] = draw(prob_rows(k + 1))
+            row["pred"] = int(np.argmax(row["probs"]))
+        elif variant == "mixed-probs":
+            if "probs" in row:
+                del row["probs"]
+            else:
+                row.update(probs=[1.0] + [0.0] * (k - 1), pred=0)
+        elif variant == "string-numbers":
+            row.update({key: str(row[key]) for key in ("pred", "true", "conf") if key in row})
+        elif variant == "integer-id":
+            row["id"] = 1000 + i
+        elif variant == "float-label":
+            row["pred"] = float(row["pred"])
+        elif variant == "no-pred" and "probs" in row:
+            del row["pred"]
+    rows = [{key: value for key, value in row.items() if value is not None} for row in rows]
+    return rows, canonical
+
+
+def as_jsonl(rows) -> bytes:
+    return "".join(json.dumps(row) + "\n" for row in rows).encode()
+
+
+def as_csv(rows) -> bytes | None:
+    """The rows as CSV, or None when a row cannot be written as one (a non-list ``probs``)."""
+    k = max((len(r["probs"]) for r in rows if isinstance(r.get("probs"), list)), default=0)
+    lines = ["id,pred,true,conf,tag" + "".join(f",p{j}" for j in range(k))]
+    for row in rows:
+        probs = row.get("probs", [""] * k)
+        if not isinstance(probs, list):
+            return None
+        cells = [row.get(key, "") for key in ("id", "pred", "true", "conf", "tag")] + probs
+        lines.append(",".join("" if c is None else repr(c) if isinstance(c, float) else str(c)
+                              for c in cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def outcome(read):
+    try:
+        return read()
+    except RecordError as exc:
+        return f"RecordError: {exc}"
+
+
+def reference_outcomes(recs: list[PredictionRecord], source: ConfidenceSource):
+    """Per-record (correct, confidence), as a loop over records defines them."""
+    correct = [rec.dist_tag is DistTag.IN_DISTRIBUTION and rec.pred_label == rec.true_label
+               for rec in recs]
+    confidence = [rec.confidence if source is ConfidenceSource.EXPLICIT_FIELD else max(rec.probs)
+                  for rec in recs]
+    return np.array(correct, dtype=bool), np.array(confidence, dtype=np.float64)
+
+
+def assert_same_outcomes(table: RecordTable, recs: list[PredictionRecord]) -> None:
+    for derive in (derive_outcomes, derive_io_outcomes):
+        for source in ConfidenceSource:
+            got = outcome(lambda: derive(table, source))
+            want = outcome(lambda: derive(recs, source))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got.correct.tobytes() == want.correct.tobytes()
+            assert got.confidence.tobytes() == want.confidence.tobytes()
+            if derive is derive_outcomes:
+                correct, confidence = reference_outcomes(recs, source)
+                assert got.correct.tobytes() == correct.tobytes()
+                assert got.confidence.tobytes() == confidence.tobytes()
+
+
+def check_file(data: bytes, fmt: RecordFormat, canonical: bool) -> None:
+    got = outcome(lambda: parse_records(data, fmt))
+    want = outcome(lambda: records._scalar_records(data.decode(), fmt))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, RecordTable)
+    assert got == want and list(got) == want and len(got) == len(want)
+    if canonical:
+        assert records._column_table(data.decode(), fmt) is not None
+    assert_same_outcomes(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(generated=record_files(), chunk=st.sampled_from([1, 2, 7, 2048]))
+def test_columns_equal_scalar_records(generated, chunk):
+    rows, canonical = generated
+    saved = records._PARSE_CHUNK
+    records._PARSE_CHUNK = chunk
+    try:
+        check_file(as_jsonl(rows), RecordFormat.JSON_LINES, canonical)
+        csv_data = as_csv(rows)
+        if csv_data is not None:
+            check_file(csv_data, RecordFormat.CSV, canonical)
+    finally:
+        records._PARSE_CHUNK = saved
+
+
+VALID = [{"id": f"r{i}", "probs": [0.25, 0.75], "pred": 1, "true": i % 2, "conf": 0.5}
+         for i in range(20)]
+# one faulty line per kind of fault the reader or the record checks find
+LINE_FAULTS = {
+    "malformed": "{",
+    "not-object": "[1]",
+    "invariant": '{"id":"x","probs":[0.25,0.75],"pred":0,"true":0}',
+    "duplicate": json.dumps(VALID[0]),
+    "boolean": '{"id":"x","probs":[0.25,0.75],"pred":1,"true":true}',
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("fault", sorted(LINE_FAULTS))
+def test_fault_on_a_chunks_last_line(monkeypatch, chunk, fault):
+    lines = [json.dumps(row) for row in VALID]
+    lines.insert(1, "")  # a blank line does not count toward a chunk
+    # the fault is the last non-blank line of the second chunk, on line 2 * chunk + 1
+    text = "\n".join(lines[: 2 * chunk] + [LINE_FAULTS[fault]] + lines[2 * chunk :])
+    want = outcome(lambda: records._scalar_records(text, RecordFormat.JSON_LINES))
+    assert want.startswith(f"RecordError: line {2 * chunk + 1}: ")
+    assert outcome(lambda: parse_records(text)) == want
+    monkeypatch.setattr(records, "_PARSE_CHUNK", chunk)
+    assert outcome(lambda: parse_records(text)) == want
+    assert outcome(lambda: parse_records(text.replace("\n", "\r\n"))) == want
+
+
+def test_probability_sums_at_the_tolerance_edge():
+    rows = [[half + j * EPS / 2, 0.5, tiny * EPS, tiny * EPS]
+            for half in (0.5 - 1e-6, 0.5 + 1e-6) for j in range(-8, 9) for tiny in (0.3, 0.6, 0.9)]
+    probs = np.array(rows)
+    by_numpy_sum = np.abs(probs.sum(axis=1) - 1.0) <= records.PROB_SUM_TOLERANCE
+    by_fsum = np.array([abs(math.fsum(row) - 1.0) <= records.PROB_SUM_TOLERANCE for row in rows])
+    assert (by_numpy_sum != by_fsum).any()  # rows where a plain numpy sum would decide wrongly
+    for row in rows:
+        line = json.dumps({"id": "a", "probs": row, "true": 0, "conf": 0.5})
+        want = outcome(lambda: records._scalar_records(line, RecordFormat.JSON_LINES))
+        assert outcome(lambda: parse_records(line)) == want
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # each line alone is not one JSON value, but joined by commas the lines parse to
+        # one object per line
+        ['{"a":[{}', '{}]}', '{},{}'],
+        ['{"a":"}', '{"}', '{"b":1},{"c":1}'],
+        ['{"a":1},{"b":2', '"c":3}'],
+    ],
+    ids=["brackets", "string", "split-object"],
+)
+def test_lines_that_only_parse_joined_are_malformed(lines):
+    assert records._joined_objects(lines) is None
+    with pytest.raises(RecordError, match="line 1: malformed JSON"):
+        list(records._jsonl_objects("\n".join(lines)))
+
+
+def test_table_reads_as_a_record_sequence():
+    text = ('{"id":"a","probs":[0.6,0.4],"pred":0,"true":1,"conf":0.7}\n'
+            '{"id":"b","probs":[0.2,0.8],"true":1,"tag":"ood"}\n')
+    table = parse_records(text)
+    assert records._column_table(text, RecordFormat.JSON_LINES) is not None
+    first = PredictionRecord("a", 0, (0.6, 0.4), 1, 0.7)
+    second = PredictionRecord("b", 1, (0.2, 0.8), 1, None, DistTag.OUT_OF_DISTRIBUTION)
+    assert len(table) == 2
+    assert table[0] == first and table[-1] == second and table[:1] == [first]
+    assert list(table) == [first, second] and table == [first, second]
+    assert table != [first]
+    with pytest.raises(IndexError):
+        table[2]
+    assert table.take(~table.ood) == [first]
+    assert table.take(np.array([1, 0])) == [second, first]
+    assert table.true.tolist() == [1, 1] and np.isnan(table.conf[1])
+
+
+def test_ragged_and_mixed_rows_keep_their_probabilities():
+    recs = [
+        PredictionRecord("a", 0, (0.7, 0.3), 0, 0.7),
+        PredictionRecord("b", 1, (0.25, 0.5, 0.25), 2),
+        PredictionRecord("c", 0, None, None, 0.1, DistTag.OUT_OF_DISTRIBUTION),
+    ]
+    table = parse_records(records.write_records_jsonl(recs))
+    assert table == recs
+    assert table.prob_counts().tolist() == [2, 3, 0]
+    assert math.isnan(table.probs[0, 2])

@@ -157,14 +157,30 @@ class TestJsonLinesReader:
             # a non-finite entry in every kind's float array; 1e999 overflows to inf
             (b'{"id":"b","true":0,"probs":[NaN],"truths":[1],"features":[1e999]}',
              r"line 2: record 'b': (probability nan out of range|feature inf is not finite)"),
+            # JSON booleans where every kind expects a label, then an array of numbers
+            (b'{"id":"b","pred":1,"true":true,"probs":[0.0,1.0],"truths":[true],'
+             b'"features":[0.5]}', "line 2: boolean where a number is expected"),
+            (b'{"id":"b","pred":1,"true":1,"probs":[false,true],"truths":[0,1],'
+             b'"features":[false,true]}', "line 2: boolean where a number is expected"),
+            (b'{"id":{"k":1},"pred":0,"true":0,"probs":[1.0],"truths":[1],"features":[0.5]}',
+             "line 2: id must be a string or a number, not an object"),
+            (b'{"id":["b"],"pred":0,"true":0,"probs":[1.0],"truths":[1],"features":[0.5]}',
+             "line 2: id must be a string or a number, not an array"),
+            (b'{"id":true,"pred":0,"true":0,"probs":[1.0],"truths":[1],"features":[0.5]}',
+             "line 2: id must be a string or a number, not a boolean"),
         ],
         ids=["utf8", "deep", "truncated", "not-object", "long-int", "fractional-label",
-             "non-finite-feature"],
+             "non-finite-feature", "boolean-label", "boolean-entries", "object-id", "array-id",
+             "boolean-id"],
     )
     def test_malformed_line(self, kind, second, message):
         parse, line = JSONL_KINDS[kind]
         with pytest.raises(RecordError, match=message):
             parse(line.encode() + b"\n" + second + b"\n")
+
+    def test_integer_ids_accepted(self, kind):
+        parse, line = JSONL_KINDS[kind]
+        assert [r.instance_id for r in parse(line.replace('"a"', "7"))] == ["7"]
 
     def test_integral_float_labels_accepted(self, kind):
         parse, line = JSONL_KINDS[kind]
