@@ -37,6 +37,7 @@ from .records import (
     ConfidenceSource,
     DistTag,
     MultiLabelRecord,
+    MultiLabelTable,
     OutcomeSet,
     PredictionRecord,
     RecordError,
@@ -73,6 +74,7 @@ __all__ = [
     "DegenerateOutcomesError",
     "DistTag",
     "MultiLabelRecord",
+    "MultiLabelTable",
     "OutcomeSet",
     "PredictionRecord",
     "RecordError",

@@ -12,6 +12,13 @@ Two independent computations of AUCCC are provided and must agree to
 1e-12: the trapezoidal area under the curve, and an O(n log n) rank-sum
 statistic computed in exact integer arithmetic. Their agreement is
 asserted by :func:`evaluate` on every call.
+
+Curves are written from their arrays: :func:`curve_to_csv` and
+:func:`points_json` give the bytes that ``repr`` per value and
+``json.dumps`` of :meth:`AucccReport.to_dict` give, but format each
+distinct coordinate once (:func:`coordinate_text`). A curve of n outcomes
+has up to n + 1 points, but its coordinates take at most n_incorrect + 1
+and n_correct + 1 distinct values.
 """
 
 from __future__ import annotations
@@ -95,12 +102,12 @@ class CCCCurve:
             raise ValueError("curve must run from (0, 0) to (1, 1)")
         if np.any(np.diff(self.x) < 0) or np.any(np.diff(self.y) < 0):
             raise ValueError("curve coordinates must be non-decreasing")
-        if np.any((self.x < 0) | (self.x > 1) | (self.y < 0) | (self.y > 1)):
+        if not np.all((self.x >= 0) & (self.x <= 1) & (self.y >= 0) & (self.y <= 1)):
             raise ValueError("curve coordinates must lie in the unit square")
 
     @property
     def points(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in zip(self.x, self.y)]
+        return list(zip(self.x.tolist(), self.y.tolist()))
 
     def __len__(self) -> int:
         return len(self.x)
@@ -220,10 +227,50 @@ def evaluate(outcomes: OutcomeSet) -> AucccReport:
     return AucccReport(auccc=area, n_correct=n_correct, n_incorrect=n_incorrect, curve=curve)
 
 
-def curve_to_csv(curve: CCCCurve) -> str:
-    """Render the curve as CSV; infinite endpoint thresholds become empty cells."""
-    lines = ["threshold,one_minus_crejr,caccr"]
-    for tau, x, y in zip(curve.thresholds, curve.x, curve.y):
-        cell = "" if math.isinf(tau) else repr(float(tau))
-        lines.append(f"{cell},{float(x)!r},{float(y)!r}")
-    return "\n".join(lines) + "\n"
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 element, as an object array of str.
+
+    Each distinct bit pattern is formatted once, so ``-0.0`` keeps its own
+    text where a comparison of values would merge it with ``0.0``.
+    """
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse]
+
+
+def _interleaved(columns: list[np.ndarray], separators: list[str]) -> str:
+    """Row by row, each column's text followed by its separator, joined into one string."""
+    width = 2 * len(columns)
+    pieces = np.empty(width * len(columns[0]), dtype=object)
+    for j, (column, separator) in enumerate(zip(columns, separators)):
+        pieces[2 * j :: width] = column
+        pieces[2 * j + 1 :: width] = separator
+    return "".join(pieces.tolist())
+
+
+def coordinate_text(curve: CCCCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The ``repr`` text of the curve's x and y, for the curve's two writers."""
+    return _float_text(curve.x), _float_text(curve.y)
+
+
+def points_json(coordinates: tuple[np.ndarray, np.ndarray]) -> str:
+    """A curve's points as ``json.dumps`` writes them, from its :func:`coordinate_text`.
+
+    That is ``[[x, y], [x, y], ...]`` with the ``repr`` of each value.
+    """
+    x_text, y_text = coordinates
+    return "[[" + _interleaved([x_text, y_text], [", ", "], ["])[: -len("], [")] + "]]"
+
+
+def curve_to_csv(curve: CCCCurve, coordinates=None) -> str:
+    """Render the curve as CSV; infinite endpoint thresholds become empty cells.
+
+    ``coordinates`` is the curve's :func:`coordinate_text`, if already formatted.
+    """
+    x_text, y_text = coordinate_text(curve) if coordinates is None else coordinates
+    thresholds = _float_text(curve.thresholds)
+    thresholds[np.isinf(curve.thresholds)] = ""
+    rows = _interleaved([thresholds, x_text, y_text], [",", ",", "\n"])
+    return "threshold,one_minus_crejr,caccr\n" + rows

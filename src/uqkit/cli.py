@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ccc import DegenerateOutcomesError, ccc_curve, curve_to_csv, evaluate
+from .ccc import (
+    DegenerateOutcomesError,
+    ccc_curve,
+    coordinate_text,
+    curve_to_csv,
+    evaluate,
+    points_json,
+)
 from .distill import (
     ConfidenceModel,
     TrainConfig,
@@ -96,12 +103,16 @@ def cmd_eval(args) -> int:
     outcomes = _load_outcomes(args)
     report = evaluate(outcomes)
     scores = score_outcomes(outcomes)
+    coordinates = coordinate_text(report.curve)  # shared by the CSV and the JSON
     if args.curve_out:
-        Path(args.curve_out).write_text(curve_to_csv(report.curve))
-    payload = report.to_dict()
-    payload["cross_entropy"] = scores.cross_entropy
-    payload["brier"] = scores.brier
-    sys.stdout.write(json.dumps(payload) + "\n")
+        Path(args.curve_out).write_text(curve_to_csv(report.curve, coordinates))
+    # the keys and separators of json.dumps(report.to_dict() | scores), with the
+    # points, which make up nearly all of it, spliced in as text
+    fields = {"auccc": report.auccc, "n_correct": report.n_correct,
+              "n_incorrect": report.n_incorrect, "points": None,
+              "cross_entropy": scores.cross_entropy, "brier": scores.brier}
+    head, _, tail = json.dumps(fields).partition('"points": null')
+    sys.stdout.write(f'{head}"points": {points_json(coordinates)}{tail}\n')
     return 0
 
 

@@ -27,6 +27,11 @@ check, is read by the scalar reference path instead: one
 :class:`PredictionRecord` per row, validated row by row, which raises the
 line-numbered error for the first faulty row. The two paths give equal
 tables, and the scalar path defines every message.
+
+:func:`parse_multilabel_records` reads multi-label JSON Lines the same
+way into a :class:`MultiLabelTable` (``ids``; float64 ``probs`` and int64
+``truths`` of shape (n, K); bool ``ood``), and :func:`binarize_multilabel`
+pools its outcomes with array operations.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import io
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
@@ -86,10 +91,11 @@ class PredictionRecord:
 
     Raises :class:`RecordError` on construction if any invariant fails:
     probabilities must lie in [0, 1] and sum to 1 within 1e-6, the
-    predicted label must be the (first) argmax of the probabilities, a
-    true label must be non-negative and, with probabilities, below their
-    count, labels must fit in 64 bits, confidence must lie in [0, 1], and
-    in-distribution records must carry a true label.
+    predicted label must be the (first) argmax of the probabilities, or
+    non-negative without them, a true label must be non-negative and, with
+    probabilities, below their count, labels must fit in 64 bits,
+    confidence must lie in [0, 1], and in-distribution records must carry a
+    true label.
     """
 
     instance_id: str
@@ -132,6 +138,10 @@ class PredictionRecord:
                     raise RecordError(
                         f"record {self.instance_id!r}: label {label} does not fit in 64 bits"
                     )
+            if self.pred_label < 0:
+                raise RecordError(
+                    f"record {self.instance_id!r}: pred {self.pred_label} out of range"
+                )
         if self.confidence is not None and not (0.0 <= self.confidence <= 1.0):
             raise RecordError(f"record {self.instance_id!r}: confidence out of range")
         if self.dist_tag is DistTag.IN_DISTRIBUTION and self.true_label is None:
@@ -140,8 +150,33 @@ class PredictionRecord:
             )
 
 
+class _Rows(Sequence):
+    """Columns read as a sequence of records: ``_record(i)`` builds (and so checks) row i."""
+
+    ids: list[str]
+
+    def _record(self, i: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        return self._record(range(len(self))[index])
+
+    def __iter__(self) -> Iterator:
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass(frozen=True, eq=False)
-class RecordTable(Sequence):
+class RecordTable(_Rows):
     """Prediction records as columns, read as a sequence of :class:`PredictionRecord`.
 
     ``ids`` holds the instance ids; ``pred`` (int64) the predicted labels;
@@ -215,22 +250,6 @@ class RecordTable(Sequence):
             dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
         )
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._record(i) for i in range(*index.indices(len(self)))]
-        return self._record(range(len(self))[index])
-
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        return map(self._record, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 def _as_table(records: Sequence[PredictionRecord]) -> RecordTable:
     return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
@@ -257,6 +276,44 @@ class MultiLabelRecord:
         for t in self.true_labels:
             if t not in (0, 1):
                 raise RecordError(f"record {self.instance_id!r}: truth {t} is not binary")
+
+
+@dataclass(frozen=True, eq=False)
+class MultiLabelTable(_Rows):
+    """Multi-label records as columns, read as a sequence of :class:`MultiLabelRecord`.
+
+    ``ids`` holds the instance ids; ``probs`` (float64, shape (n, K)) the
+    per-class probabilities; ``truths`` (int64, shape (n, K)) the binary
+    truths; ``ood`` (bool) the out-of-distribution tags. A row with fewer
+    than K classes is padded with NaN probabilities, which no probability
+    can be, and 0 truths.
+    """
+
+    ids: list[str]
+    probs: np.ndarray
+    truths: np.ndarray
+    ood: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Sequence[MultiLabelRecord]) -> "MultiLabelTable":
+        k = max((len(r.per_class_probs) for r in records), default=0)
+        probs = np.full((len(records), k), np.nan)
+        truths = np.zeros((len(records), k), dtype=np.int64)
+        for i, r in enumerate(records):
+            probs[i, : len(r.per_class_probs)] = r.per_class_probs
+            truths[i, : len(r.true_labels)] = r.true_labels
+        ood = [r.dist_tag is DistTag.OUT_OF_DISTRIBUTION for r in records]
+        return cls(ids=[r.instance_id for r in records], probs=probs, truths=truths,
+                   ood=np.array(ood, dtype=bool))
+
+    def _record(self, i: int) -> MultiLabelRecord:
+        given = ~np.isnan(self.probs[i])
+        return MultiLabelRecord(
+            instance_id=self.ids[i],
+            per_class_probs=tuple(self.probs[i][given].tolist()),
+            true_labels=tuple(self.truths[i][given].tolist()),
+            dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
+        )
 
 
 class OutcomeSet:
@@ -568,6 +625,7 @@ def _checked_rows(ids, pred, true, conf, tag, probs) -> RecordTable | None:
         if None in pred:
             return None
         pred = np.array(pred, dtype=np.int64)
+        bad |= pred < 0
     else:
         if probs.shape[1] == 0 or not ((probs >= 0.0) & (probs <= 1.0)).all():
             return None
@@ -625,22 +683,26 @@ def _csv_chunks(reader) -> Iterator[list[list[str]]]:
             yield rows
 
 
-def _concatenated(tables: list[RecordTable]) -> RecordTable | None:
-    """One table of the chunks' tables, or None if they differ in class count or repeat an id."""
+def _concatenated(tables: list, cls: type):
+    """One ``cls`` table of the chunks' tables.
+
+    None if a chunk failed its checks (its table is None), or the chunks
+    differ in class count or repeat an id.
+    """
+    if any(t is None for t in tables):
+        return None
     widths = {None if t.probs is None else t.probs.shape[1] for t in tables}
     ids = list(chain.from_iterable(t.ids for t in tables))
     if len(widths) > 1 or len(set(ids)) < len(ids):
         return None
     if not tables:
-        return RecordTable.from_records([])
-    return RecordTable(
-        ids=ids,
-        pred=np.concatenate([t.pred for t in tables]),
-        true=np.concatenate([t.true for t in tables]),
-        conf=np.concatenate([t.conf for t in tables]),
-        ood=np.concatenate([t.ood for t in tables]),
-        probs=None if widths == {None} else np.concatenate([t.probs for t in tables]),
-    )
+        return cls.from_records([])
+    columns = {
+        f.name: None if getattr(tables[0], f.name) is None
+        else np.concatenate([getattr(t, f.name) for t in tables])
+        for f in fields(cls) if f.name != "ids"
+    }
+    return cls(ids=ids, **columns)
 
 
 def _column_table(text: str, fmt: RecordFormat) -> RecordTable | None:
@@ -655,7 +717,7 @@ def _column_table(text: str, fmt: RecordFormat) -> RecordTable | None:
             tables = [_csv_rows(rows, len(header)) for rows in chunks]
     except (TypeError, ValueError, OverflowError, csv.Error):  # RecordError included
         return None
-    return None if any(t is None for t in tables) else _concatenated(tables)
+    return _concatenated(tables, RecordTable)
 
 
 def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> RecordTable:
@@ -692,13 +754,53 @@ def _multilabel_record(obj: dict) -> MultiLabelRecord:
     )
 
 
-def parse_multilabel_records(stream) -> list[MultiLabelRecord]:
-    """Parse multi-label records from JSON Lines.
+def _multilabel_rows(objects: list[dict]) -> MultiLabelTable | None:
+    """A chunk of multi-label objects as a table, if each has the canonical shape and is valid.
+
+    Canonical: a string id, a list of numbers as ``probs``, a list of integers
+    as ``truths`` and a known tag. Valid: every row has as many truths as
+    probabilities, and the chunk's class count; probabilities lie in [0, 1];
+    truths are 0 or 1.
+    """
+    ids, probs, truths, tags = ([obj.get(key) for obj in objects]
+                                for key in ("id", "probs", "truths", "tag"))
+    if not (set(map(type, ids)) == {str} and set(map(type, probs)) == {list}
+            and set(map(type, truths)) == {list} and set(tags) <= _TAG_IS_OOD.keys()
+            and set(map(type, chain.from_iterable(probs))) <= {int, float}
+            and set(map(type, chain.from_iterable(truths))) <= {int}):
+        return None
+    probs = np.array(probs, dtype=np.float64)  # ValueError when ragged
+    truths = np.array(truths, dtype=np.int64)  # OverflowError past 64 bits
+    if (probs.shape != truths.shape or not ((probs >= 0.0) & (probs <= 1.0)).all()
+            or not ((truths == 0) | (truths == 1)).all()):
+        return None
+    ood = np.array([_TAG_IS_OOD[t] for t in tags], dtype=bool)
+    return MultiLabelTable(ids=ids, probs=probs, truths=truths, ood=ood)
+
+
+def _multilabel_table(text: str) -> MultiLabelTable | None:
+    """Multi-label records as columns, read chunk by chunk; None unless every row is canonical."""
+    try:
+        tables = [_multilabel_rows(list(objects)) for _, objects in _jsonl_chunks(text)]
+    except (TypeError, ValueError, OverflowError):  # RecordError included
+        return None
+    return _concatenated(tables, MultiLabelTable)
+
+
+def parse_multilabel_records(stream) -> MultiLabelTable:
+    """Parse multi-label records from JSON Lines, preserving order.
 
     One object per line: ``{"id": str, "probs": [...], "truths": [0/1, ...],
-    "tag": "id"|"ood"}``.
+    "tag": "id"|"ood"}``. Files whose rows are all canonical and valid
+    (:func:`_multilabel_rows`) are read chunk by chunk into columns; any
+    other file is read one :class:`MultiLabelRecord` per line, which raises
+    the line-numbered :class:`RecordError` for the first faulty line.
     """
-    return _located(_jsonl_objects(stream), _multilabel_record)
+    text = _as_text(stream)
+    table = _multilabel_table(text)
+    if table is None:
+        table = MultiLabelTable.from_records(_located(_jsonl_objects(text), _multilabel_record))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -818,11 +920,8 @@ def binarize_multilabel(
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if len(records) == 0:
         raise ValueError("no multi-label records given")
-    correct = []
-    confidence = []
-    for rec in records:
-        for p, truth in zip(rec.per_class_probs, rec.true_labels):
-            predicted_positive = p >= threshold
-            correct.append(predicted_positive == bool(truth))
-            confidence.append(max(p, 1.0 - p))
-    return OutcomeSet(correct, confidence)
+    if not isinstance(records, MultiLabelTable):
+        records = MultiLabelTable.from_records(records)
+    given = ~np.isnan(records.probs)  # row-major: (record, class) order
+    probs, truths = records.probs[given], records.truths[given]
+    return OutcomeSet((probs >= threshold) == (truths != 0), np.maximum(probs, 1.0 - probs))

@@ -3,11 +3,14 @@
 These deliberately avoid the library's own code paths: the pairwise AUCCC
 is a direct O(n*n) comparison count, the temperature closed form uses the
 power identity rather than softmax-of-logs, gradients come from
-central finite differences, and SplitMix64 words are computed one at a
-time in Python integers.
+central finite differences, SplitMix64 words are computed one at a
+time in Python integers, and curves are written one point at a time.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -54,3 +57,20 @@ def splitmix64_words(key: int, n: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         words.append(z ^ (z >> 31))
     return words
+
+
+def eval_json(report, scores) -> str:
+    """The ``eval`` report as ``json.dumps`` of the report's dict and the two scores."""
+    payload = report.to_dict()
+    payload["cross_entropy"] = scores.cross_entropy
+    payload["brier"] = scores.brier
+    return json.dumps(payload) + "\n"
+
+
+def curve_csv(curve) -> str:
+    """The curve CSV, one ``repr`` per value; infinite thresholds are empty cells."""
+    lines = ["threshold,one_minus_crejr,caccr"]
+    for tau, x, y in zip(curve.thresholds, curve.x, curve.y):
+        cell = "" if math.isinf(tau) else repr(float(tau))
+        lines.append(f"{cell},{float(x)!r},{float(y)!r}")
+    return "\n".join(lines) + "\n"

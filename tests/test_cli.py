@@ -101,9 +101,12 @@ class TestEval:
              "line 1: boolean where a number is expected"),
             ("huge-label.jsonl", '{"id":"a","pred":100000000000000000000,"true":0,"conf":0.5}\n',
              "line 1: record 'a': label 100000000000000000000 does not fit in 64 bits"),
+            ("negative-pred.jsonl", '{"id":"a","pred":-5,"true":0,"conf":0.9}\n'
+             '{"id":"b","pred":0,"true":0,"conf":0.5}\n',
+             "line 1: record 'a': pred -5 out of range"),
         ],
         ids=["deep-nesting", "duplicate-id", "duplicate-id-csv", "oversized-cell", "label",
-             "fractional-label", "object-id", "boolean-confidence", "huge-label"],
+             "fractional-label", "object-id", "boolean-confidence", "huge-label", "negative-pred"],
     )
     def test_hostile_input_exits_one(self, tmp_path, capsys, name, content, fragment):
         path = tmp_path / name

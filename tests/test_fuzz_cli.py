@@ -64,6 +64,10 @@ MULTI_LABEL = jsonl(
     {"id": rid, "probs": p, "truths": [int(k == t) for k in range(3)]}
     for rid, p, t in zip(IDS, PROBS, TRUES)
 )
+MANY_MULTI_LABEL = jsonl(
+    {"id": f"m{i}", "probs": PROBS[i % 4], "truths": [int(k == TRUES[i % 4]) for k in range(3)]}
+    for i in range(2 * records._PARSE_CHUNK + 5)
+)
 MEMBERS = [
     jsonl({"id": rid, "probs": p, "pred": p.index(max(p)), "true": t}
           for rid, p, t in zip(IDS, rows, TRUES))
@@ -94,6 +98,7 @@ CASES = {
     "records-max-softmax": ("target.jsonl", RECORDS, EVAL + ["--confidence-source",
                                                              "max-softmax"]),
     "multi-label": ("target.jsonl", MULTI_LABEL, EVAL + ["--mode", "multi-label"]),
+    "multi-label-chunks": ("target.jsonl", MANY_MULTI_LABEL, EVAL + ["--mode", "multi-label"]),
     "ensemble-member": ("member0.jsonl", MEMBERS[0],
                         ["ensemble", "{member0}", "{member1}", "--out", "{out}"]),
     "features": ("features.jsonl", FEATURES, PREDICT),

@@ -58,6 +58,7 @@ FAULTS = {
     "missing-id": lambda row, k: {"id": None},
     "empty-probs": lambda row, k: {"probs": []},
     "fractional-label": lambda row, k: {"true": 0.5},
+    "negative-pred": lambda row, k: {"pred": -1 - row.get("pred", 0), "probs": None},
 }
 
 # shape variants that are valid but leave the canonical path: the scalar path reads them
@@ -283,3 +284,16 @@ def test_ragged_and_mixed_rows_keep_their_probabilities():
     assert table == recs
     assert table.prob_counts().tolist() == [2, 3, 0]
     assert math.isnan(table.probs[0, 2])
+
+
+@pytest.mark.parametrize(
+    "data, fmt, message",
+    [('{"id":"a","pred":0,"true":0,"conf":0.5}\n{"id":"b","pred":-5,"true":0,"conf":0.9}\n',
+      RecordFormat.JSON_LINES, "line 2: record 'b': pred -5 out of range"),
+     ("id,pred,true,conf,tag\na,0,0,0.5,id\nb,-5,0,0.9,id\n",
+      RecordFormat.CSV, "line 3: record 'b': pred -5 out of range")],
+    ids=["jsonl", "csv"],
+)
+def test_negative_pred_without_probabilities(data, fmt, message):
+    assert outcome(lambda: parse_records(data, fmt)) == f"RecordError: {message}"
+    assert records._column_table(data, fmt) is None

@@ -168,10 +168,14 @@ class TestJsonLinesReader:
              "line 2: id must be a string or a number, not an array"),
             (b'{"id":true,"pred":0,"true":0,"probs":[1.0],"truths":[1],"features":[0.5]}',
              "line 2: id must be a string or a number, not a boolean"),
+            # a negative pred is a record fault; the other kinds lack probs or features
+            (b'{"id":"b","pred":-5,"true":0,"truths":[1],"features":[]}',
+             r"line 2: (record 'b': (pred -5 out of range|empty feature vector)"
+             r"|need 'id', 'probs' and 'truths')"),
         ],
         ids=["utf8", "deep", "truncated", "not-object", "long-int", "fractional-label",
              "non-finite-feature", "boolean-label", "boolean-entries", "object-id", "array-id",
-             "boolean-id"],
+             "boolean-id", "negative-pred"],
     )
     def test_malformed_line(self, kind, second, message):
         parse, line = JSONL_KINDS[kind]
