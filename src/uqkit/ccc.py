@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import OutcomeSet
+from .records import OutcomeSet, _float_text, _interleaved
 
 AUCCC_CONSISTENCY_TOL = 1e-12
 # the doubled rank sum of n outcomes reaches n(n + 1), computed in int64
@@ -227,29 +227,6 @@ def evaluate(outcomes: OutcomeSet) -> AucccReport:
     return AucccReport(auccc=area, n_correct=n_correct, n_incorrect=n_incorrect, curve=curve)
 
 
-def _float_text(values: np.ndarray) -> np.ndarray:
-    """The ``repr`` of each float64 element, as an object array of str.
-
-    Each distinct bit pattern is formatted once, so ``-0.0`` keeps its own
-    text where a comparison of values would merge it with ``0.0``.
-    """
-    bits, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
-    )
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse]
-
-
-def _interleaved(columns: list[np.ndarray], separators: list[str]) -> str:
-    """Row by row, each column's text followed by its separator, joined into one string."""
-    width = 2 * len(columns)
-    pieces = np.empty(width * len(columns[0]), dtype=object)
-    for j, (column, separator) in enumerate(zip(columns, separators)):
-        pieces[2 * j :: width] = column
-        pieces[2 * j + 1 :: width] = separator
-    return "".join(pieces.tolist())
-
-
 def coordinate_text(curve: CCCCurve) -> tuple[np.ndarray, np.ndarray]:
     """The ``repr`` text of the curve's x and y, for the curve's two writers."""
     return _float_text(curve.x), _float_text(curve.y)
@@ -261,7 +238,7 @@ def points_json(coordinates: tuple[np.ndarray, np.ndarray]) -> str:
     That is ``[[x, y], [x, y], ...]`` with the ``repr`` of each value.
     """
     x_text, y_text = coordinates
-    return "[[" + _interleaved([x_text, y_text], [", ", "], ["])[: -len("], [")] + "]]"
+    return "[[" + _interleaved([x_text, ", ", y_text, "], ["])[: -len("], [")] + "]]"
 
 
 def curve_to_csv(curve: CCCCurve, coordinates=None) -> str:
@@ -272,5 +249,5 @@ def curve_to_csv(curve: CCCCurve, coordinates=None) -> str:
     x_text, y_text = coordinate_text(curve) if coordinates is None else coordinates
     thresholds = _float_text(curve.thresholds)
     thresholds[np.isinf(curve.thresholds)] = ""
-    rows = _interleaved([thresholds, x_text, y_text], [",", ",", "\n"])
+    rows = _interleaved([thresholds, ",", x_text, ",", y_text, "\n"])
     return "threshold,one_minus_crejr,caccr\n" + rows

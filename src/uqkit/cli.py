@@ -41,6 +41,8 @@ from .records import (
     PredictionRecord,
     RecordError,
     RecordFormat,
+    RecordTable,
+    _checked_rows,
     binarize_multilabel,
     derive_io_outcomes,
     derive_outcomes,
@@ -78,20 +80,25 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _in_distribution(table):
+    """The table's in-distribution rows; none left is an error."""
+    table = table.take(~table.ood)
+    if not len(table):
+        raise RecordError("no in-distribution records in input")
+    return table
+
+
 def _load_outcomes(args):
     path = Path(args.input)
     data = path.read_bytes()
     if args.mode == "multi-label":
-        recs = parse_multilabel_records(data)
-        return binarize_multilabel(recs, args.threshold)
+        table = _in_distribution(parse_multilabel_records(data))
+        return binarize_multilabel(table, args.threshold)
     fmt = RecordFormat(args.input_format) if args.input_format else RecordFormat.for_path(path)
     table = parse_records(data, fmt)
     source = ConfidenceSource(args.confidence_source)
     if args.mode == "standard":
-        table = table.take(~table.ood)
-        if not len(table):
-            raise RecordError("no in-distribution records in input")
-        return derive_outcomes(table, source)
+        return derive_outcomes(_in_distribution(table), source)
     if args.mode == "ood-unified":
         return derive_outcomes(table, source)
     if args.mode == "io-auroc":
@@ -122,22 +129,20 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _probability_records(ids, probs, trues, tags, confidence=None) -> list[PredictionRecord]:
-    """One record per (n, K) probability row; confidence defaults to the row maximum."""
-    records = []
-    for i, row in enumerate(probs.tolist()):
-        vec = tuple(row)
-        records.append(
-            PredictionRecord(
-                instance_id=ids[i],
-                pred_label=first_argmax(vec),
-                probs=vec,
-                true_label=trues[i],
-                confidence=max(vec) if confidence is None else float(confidence[i]),
-                dist_tag=tags[i],
-            )
-        )
-    return records
+def _probability_records(ids, probs, trues, tags, confidence=None) -> RecordTable:
+    """The records of (n, K) probability rows; confidence defaults to the row maximum."""
+    conf = probs.max(axis=1) if confidence is None else confidence
+    raw_tags = ["ood" if tag is DistTag.OUT_OF_DISTRIBUTION else "id" for tag in tags]
+    table = _checked_rows(ids, [None] * len(ids), trues, conf.tolist(), raw_tags, probs)
+    if table is None:  # built one by one, the first faulty record raises its error
+        table = RecordTable.from_records([
+            PredictionRecord(instance_id=rid, pred_label=first_argmax(vec), probs=vec,
+                             true_label=true, confidence=max(vec) if confidence is None else c,
+                             dist_tag=tag)
+            for rid, vec, true, c, tag in zip(ids, map(tuple, probs.tolist()), trues,
+                                              conf.tolist(), tags)
+        ])
+    return table
 
 
 def cmd_ensemble(args) -> int:
@@ -225,17 +230,12 @@ def cmd_synth_outcomes(args) -> int:
         seed=args.seed,
     )
     outcomes = gen_outcomes(config)
-    recs = [
-        PredictionRecord(
-            instance_id=f"s{i:06d}",
-            pred_label=0,
-            true_label=0 if correct else 1,
-            confidence=float(conf),
-            dist_tag=DistTag.IN_DISTRIBUTION,
-        )
-        for i, (correct, conf) in enumerate(outcomes.entries)
-    ]
-    _emit(write_records_jsonl(recs), args.out)
+    n = len(outcomes)
+    # in-distribution records predicting class 0; the incorrect ones are of class 1
+    table = RecordTable(ids=[f"s{i:06d}" for i in range(n)], pred=np.zeros(n, dtype=np.int64),
+                        true=(~outcomes.correct).astype(np.int64), conf=outcomes.confidence,
+                        ood=np.zeros(n, dtype=bool), probs=None)
+    _emit(write_records_jsonl(table), args.out)
     return 0
 
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode", choices=MODES, default="standard",
             help="standard: in-distribution records only; ood-unified: everything with "
             "out-of-distribution forced incorrect; io-auroc: rank in- vs out-of-distribution; "
-            "multi-label: pooled per-class outcomes",
+            "multi-label: pooled per-class outcomes of in-distribution records",
         )
         p.add_argument(
             "--threshold", type=float, default=0.5, help="multi-label decision threshold"

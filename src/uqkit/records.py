@@ -32,6 +32,12 @@ tables, and the scalar path defines every message.
 way into a :class:`MultiLabelTable` (``ids``; float64 ``probs`` and int64
 ``truths`` of shape (n, K); bool ``ood``), and :func:`binarize_multilabel`
 pools its outcomes with array operations.
+
+:func:`write_records_jsonl` writes from columns too: each float column is
+formatted once per distinct value (:func:`_float_text`) and the lines are
+joined from the columns' text (:func:`_interleaved`), which gives the
+bytes of one compact ``json.dumps`` per record. Feature files and curves
+are written with the same two pieces.
 """
 
 from __future__ import annotations
@@ -174,6 +180,27 @@ class _Rows(Sequence):
             return NotImplemented
         return list(self) == list(other)
 
+    def take(self, rows):
+        """The table of the rows that a boolean mask or an index array selects, in its order."""
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return type(self)(**{
+            name: [column[i] for i in rows.tolist()] if name == "ids"
+            else None if column is None else column[rows]
+            for name, column in columns.items()
+        })
+
+
+def _padded(rows: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of numbers, None for none, as an (n, K) array padded with NaN, and its given cells."""
+    lengths = np.array([0 if row is None else len(row) for row in rows], dtype=np.int64)
+    given = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    values = np.full(given.shape, np.nan)
+    values[given] = [value for row in rows if row is not None for value in row]
+    return values, given
+
 
 @dataclass(frozen=True, eq=False)
 class RecordTable(_Rows):
@@ -198,11 +225,7 @@ class RecordTable(_Rows):
 
     @classmethod
     def from_records(cls, records: Sequence[PredictionRecord]) -> "RecordTable":
-        k = max((len(r.probs) for r in records if r.probs is not None), default=0)
-        probs = np.full((len(records), k), np.nan) if k else None
-        for i, r in enumerate(records):
-            if r.probs is not None:
-                probs[i, : len(r.probs)] = r.probs
+        probs, _ = _padded([r.probs for r in records])
         return cls(
             ids=[r.instance_id for r in records],
             pred=np.array([r.pred_label for r in records], dtype=np.int64),
@@ -212,21 +235,7 @@ class RecordTable(_Rows):
                           dtype=np.float64),
             ood=np.array([r.dist_tag is DistTag.OUT_OF_DISTRIBUTION for r in records],
                          dtype=bool),
-            probs=probs,
-        )
-
-    def take(self, rows) -> "RecordTable":
-        """The table of the rows that a boolean mask or an index array selects, in its order."""
-        rows = np.asarray(rows)
-        if rows.dtype == bool:
-            rows = np.flatnonzero(rows)
-        return RecordTable(
-            ids=[self.ids[i] for i in rows.tolist()],
-            pred=self.pred[rows],
-            true=self.true[rows],
-            conf=self.conf[rows],
-            ood=self.ood[rows],
-            probs=None if self.probs is None else self.probs[rows],
+            probs=probs if probs.shape[1] else None,
         )
 
     def prob_counts(self) -> np.ndarray:
@@ -296,12 +305,9 @@ class MultiLabelTable(_Rows):
 
     @classmethod
     def from_records(cls, records: Sequence[MultiLabelRecord]) -> "MultiLabelTable":
-        k = max((len(r.per_class_probs) for r in records), default=0)
-        probs = np.full((len(records), k), np.nan)
-        truths = np.zeros((len(records), k), dtype=np.int64)
-        for i, r in enumerate(records):
-            probs[i, : len(r.per_class_probs)] = r.per_class_probs
-            truths[i, : len(r.true_labels)] = r.true_labels
+        probs, given = _padded([r.per_class_probs for r in records])
+        truths = np.zeros(probs.shape, dtype=np.int64)
+        truths[given] = [t for r in records for t in r.true_labels]
         ood = [r.dist_tag is DistTag.OUT_OF_DISTRIBUTION for r in records]
         return cls(ids=[r.instance_id for r in records], probs=probs, truths=truths,
                    ood=np.array(ood, dtype=bool))
@@ -602,40 +608,47 @@ def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
     return np.abs(sums - 1.0) <= PROB_SUM_TOLERANCE
 
 
+def _valid_columns(table: RecordTable) -> bool:
+    """Does every row meet every :class:`PredictionRecord` invariant?
+
+    False for ragged (NaN-padded) probability rows, which only their records can check.
+    """
+    conf, probs = table.conf, table.probs
+    bad = ((table.true < 0) & ~table.ood) | ~(np.isnan(conf) | ((conf >= 0.0) & (conf <= 1.0)))
+    if probs is None:
+        bad |= table.pred < 0
+    else:
+        if probs.shape[1] == 0 or not ((probs >= 0.0) & (probs <= 1.0)).all():
+            return False
+        bad |= ((table.pred != probs.argmax(axis=1))  # the first maximum, as first_argmax
+                | (table.true >= probs.shape[1]) | ~_sums_within_tolerance(probs))
+    return not bad.any()
+
+
 def _checked_rows(ids, pred, true, conf, tag, probs) -> RecordTable | None:
     """A chunk as a table when every row meets every :class:`PredictionRecord` invariant.
 
     ``ids`` are strings; ``pred``, ``true`` and ``conf`` Python numbers or
-    None; ``tag`` raw tag values; ``probs`` an (n, K) array or None. None
-    when any row fails a check: the scalar path then names the fault.
+    None, where a None ``pred`` is the argmax of ``probs``; ``tag`` raw tag
+    values; ``probs`` an (n, K) array or None. None when any row fails a
+    check: the scalar path then names the fault.
     """
-    if not set(tag) <= _TAG_IS_OOD.keys():
+    if not set(tag) <= _TAG_IS_OOD.keys() or (probs is not None and probs.shape[1] == 0):
         return None
-    ood = np.array([_TAG_IS_OOD[t] for t in tag], dtype=bool)
     true_given = np.array([t is not None for t in true], dtype=bool)
     true = np.array([-1 if t is None else t for t in true], dtype=np.int64)
     conf_given = np.array([c is not None for c in conf], dtype=bool)
     conf = np.array(conf, dtype=np.float64)  # None reads as NaN
-    bad = (
-        (true_given & (true < 0))
-        | (~true_given & ~ood)
-        | (conf_given & ~((conf >= 0.0) & (conf <= 1.0)))
-    )
-    if probs is None:
-        if None in pred:
-            return None
-        pred = np.array(pred, dtype=np.int64)
-        bad |= pred < 0
-    else:
-        if probs.shape[1] == 0 or not ((probs >= 0.0) & (probs <= 1.0)).all():
-            return None
-        top = probs.argmax(axis=1)  # the first maximum, as first_argmax
-        pred = np.array([t if p is None else p for p, t in zip(pred, top.tolist())],
-                        dtype=np.int64)
-        bad |= (pred != top) | (true >= probs.shape[1]) | ~_sums_within_tolerance(probs)
-    if bad.any():
+    # a table reads a negative label and a NaN confidence as absent
+    if (true_given & (true < 0)).any() or (conf_given & np.isnan(conf)).any():
         return None
-    return RecordTable(ids=ids, pred=pred, true=true, conf=conf, ood=ood, probs=probs)
+    if probs is not None:
+        pred = [t if p is None else p for p, t in zip(pred, probs.argmax(axis=1).tolist())]
+    elif None in pred:
+        return None
+    table = RecordTable(ids=ids, pred=np.array(pred, dtype=np.int64), true=true, conf=conf,
+                        ood=np.array([_TAG_IS_OOD[t] for t in tag], dtype=bool), probs=probs)
+    return table if _valid_columns(table) else None
 
 
 def _jsonl_rows(objects: list[dict]) -> RecordTable | None:
@@ -808,51 +821,86 @@ def parse_multilabel_records(stream) -> MultiLabelTable:
 # ---------------------------------------------------------------------------
 
 
-def _jsonl_text(objects: Iterable[dict]) -> str:
-    """Compact JSON Lines, one object per line, newline-terminated unless empty."""
-    lines = [json.dumps(obj, separators=(",", ":")) for obj in objects]
-    return "\n".join(lines) + ("\n" if lines else "")
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The text ``json.dumps`` gives each float64 element, as an object array of str.
+
+    That is the element's ``repr``, or ``NaN``, ``Infinity`` or ``-Infinity``.
+    Each distinct bit pattern is formatted once, so ``-0.0`` keeps its own
+    text where a comparison of values would merge it with ``0.0``.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    special = ~np.isfinite(distinct)
+    text[special] = list(map(json.dumps, distinct[special].tolist()))
+    return text[inverse].reshape(values.shape)
 
 
-def _record_object(rec: PredictionRecord) -> dict:
-    obj: dict = {"id": rec.instance_id}
-    if rec.probs is not None:
-        obj["probs"] = list(rec.probs)
-    obj["pred"] = rec.pred_label
-    if rec.true_label is not None:
-        obj["true"] = rec.true_label
-    if rec.confidence is not None:
-        obj["conf"] = rec.confidence
-    obj["tag"] = rec.dist_tag.value
-    return obj
+def _interleaved(parts: list) -> str:
+    """Row by row, the parts concatenated: each is one str for all rows, or one str per row."""
+    rows = len(next(part for part in parts if not isinstance(part, str)))
+    pieces = np.empty((rows, len(parts)), dtype=object)
+    for j, part in enumerate(parts):
+        pieces[:, j] = part
+    return "".join(pieces.ravel().tolist())
+
+
+def _array_parts(key: str, values: np.ndarray, present: np.ndarray) -> list:
+    """``key`` and a JSON array of each row's present values, as parts; none drops the key."""
+    has = present.any(axis=1)
+    cells = np.where(present, _float_text(values), "")
+    # a comma before each present value that follows another
+    cells = np.where(present & (np.cumsum(present, axis=1) > 1), "," + cells, cells)
+    return [np.where(has, key + "[", ""), *cells.T, np.where(has, "]", "")]
+
+
+def _written_table(records: Iterable[PredictionRecord]) -> RecordTable:
+    """The records as one table; a given table is checked as parsing checks it."""
+    if not isinstance(records, RecordTable):
+        return RecordTable.from_records(list(records))
+    if not _valid_columns(records):
+        list(records)  # builds each record, so the first faulty one raises its RecordError
+    return records
 
 
 def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
-    """Serialize records to JSON Lines with a stable key order."""
-    return _jsonl_text(_record_object(rec) for rec in records)
+    """Serialize records to JSON Lines with a stable key order, from their columns.
+
+    Each line is
+    ``json.dumps`` of an object with keys ``id``, ``probs``, ``pred``,
+    ``true``, ``conf`` and ``tag``, in that order and without spaces; a
+    row without probabilities, true label or confidence drops that key.
+    """
+    table = _written_table(records)
+    parts = ['{"id":', list(map(json.dumps, table.ids))]
+    if table.probs is not None:
+        parts += _array_parts(',"probs":', table.probs, ~np.isnan(table.probs))
+    true, conf = table.true >= 0, ~np.isnan(table.conf)
+    return _interleaved(parts + [
+        ',"pred":', table.pred.astype(str),
+        np.where(true, ',"true":', ""), np.where(true, table.true.astype(str), ""),
+        np.where(conf, ',"conf":', ""), np.where(conf, _float_text(table.conf), ""),
+        np.where(table.ood, ',"tag":"ood"}\n', ',"tag":"id"}\n'),
+    ])
 
 
-def write_records_csv(records: Sequence[PredictionRecord]) -> str:
+def write_records_csv(records: Iterable[PredictionRecord]) -> str:
     """Serialize records to CSV; probability columns sized to the widest record."""
-    n_probs = max((len(r.probs) for r in records if r.probs is not None), default=0)
+    table = _written_table(records)
+    counts = table.prob_counts()
+    k = int(counts.max(initial=0))
+    if ((counts > 0) & (counts != k)).any():
+        raise ValueError("records with differing class counts cannot share one CSV")
+    probs = np.empty((len(table), 0)) if table.probs is None else table.probs[:, :k]
+    true, conf = table.true >= 0, ~np.isnan(table.conf)
+    columns = [table.pred.astype(str), np.where(true, table.true.astype(str), ""),
+               np.where(conf, _float_text(table.conf), ""), np.where(table.ood, "ood", "id"),
+               *np.where(counts[:, None] > 0, _float_text(probs), "").T]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(_FIELDS) + [f"p{k}" for k in range(n_probs)])
-    for rec in records:
-        row = [
-            rec.instance_id,
-            repr(rec.pred_label) if rec.pred_label is not None else "",
-            repr(rec.true_label) if rec.true_label is not None else "",
-            repr(rec.confidence) if rec.confidence is not None else "",
-            rec.dist_tag.value,
-        ]
-        if rec.probs is not None:
-            if len(rec.probs) != n_probs:
-                raise ValueError("records with differing class counts cannot share one CSV")
-            row.extend(repr(p) for p in rec.probs)
-        else:
-            row.extend("" for _ in range(n_probs))
-        writer.writerow(row)
+    writer.writerow(list(_FIELDS) + [f"p{j}" for j in range(k)])
+    writer.writerows(zip(table.ids, *(column.tolist() for column in columns)))
     return buf.getvalue()
 
 

@@ -33,10 +33,6 @@ def _splitmix64(key: int, n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class PortableRng:
     """xoshiro256** stream with uniform/normal/gamma/beta draws.
 
@@ -50,16 +46,14 @@ class PortableRng:
         self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
+        # the two rotations are written out: this runs once per scalar draw
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
+        x = (s1 * 5) & _MASK64
+        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64  # rotl(s1 * 5, 7) * 9
         s2 ^= s0
         s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        self._s = [s0 ^ s3, s1 ^ s2, s2 ^ ((s1 << 17) & _MASK64),
+                   ((s3 << 45) | (s3 >> 19)) & _MASK64]
         return result
 
     def random(self) -> float:

@@ -17,8 +17,11 @@ experiment:
   probability vector.
 
 All draws come from the portable generator, so a config draws the same
-numbers on every platform. The member probabilities then pass through
-numpy's ``exp``, whose last bits may depend on the CPU.
+numbers on every platform. A split is made in two passes: a scalar pass
+takes every draw, one word at a time, in row order; a numpy pass then
+computes the features, the corrupted logits and the member softmax for
+all rows at once. The member probabilities pass through numpy's ``exp``,
+whose last bits may depend on the CPU.
 """
 
 from __future__ import annotations
@@ -162,30 +165,33 @@ class UdistTask:
 
 
 def _gen_split(n: int, means: np.ndarray, config: SynthUdistConfig, rng: PortableRng) -> UdistSplit:
-    n_struct = config.feature_dim - 1
-    k = config.n_classes
-    features = np.empty((n, config.feature_dim))
-    labels = np.empty(n, dtype=np.int64)
-    logits = np.empty((n, config.ensemble_size, k))
-    for i in range(n):
-        y = rng.randint(k)
-        struct = np.array([means[y, j] + rng.normal() for j in range(n_struct)])
-        signal = rng.random()
-        wrong = (y + 1 + rng.randint(k - 1)) % k
+    """One split: every scalar draw in row order, then numpy over all rows.
 
-        # nearest-centroid logits: a well-behaved base classifier
-        base = np.array([-0.5 * float(np.sum((struct - means[c]) ** 2)) for c in range(k)])
-        # the planted corruption: quadratic in the signal, aimed at one wrong class
-        base[wrong] += config.error_signal_strength * signal * signal
+    Row i draws its label, its ``feature_dim - 1`` feature normals, its
+    signal, its wrong-class offset, then ``ensemble_size * n_classes``
+    jitter normals, member-major (member m's draws before member m + 1's).
+    """
+    n_struct, k, n_members = config.feature_dim - 1, config.n_classes, config.ensemble_size
+    normal, random, randint = rng.normal, rng.random, rng.randint
+    labels, signal, offset, normals = [], [], [], []
+    for _ in range(n):
+        labels.append(randint(k))
+        normals += [normal() for _ in range(n_struct)]
+        signal.append(random())
+        offset.append(randint(k - 1))
+        normals += [normal() for _ in range(n_members * k)]
 
-        labels[i] = y
-        features[i, :n_struct] = struct
-        features[i, n_struct] = signal
-        # member-major jitter: member m's k draws come before member m + 1's
-        jitter = [[config.noise_scale * rng.normal() for _ in range(k)]
-                  for _ in range(config.ensemble_size)]
-        logits[i] = base + np.array(jitter)
-    return UdistSplit(features=features, labels=labels, member_probs=_softmax(logits))
+    labels = np.array(labels, dtype=np.int64)
+    signal = np.array(signal)
+    draws = np.array(normals).reshape(n, n_struct + n_members * k)
+    struct = means[labels] + draws[:, :n_struct]
+    # nearest-centroid logits: a well-behaved base classifier
+    base = -0.5 * np.sum((struct[:, None, :] - means) ** 2, axis=-1)
+    # the planted corruption: quadratic in the signal, aimed at one wrong class
+    wrong = (labels + 1 + np.array(offset, dtype=np.int64)) % k
+    base[np.arange(n), wrong] += config.error_signal_strength * signal * signal
+    logits = base[:, None, :] + config.noise_scale * draws[:, n_struct:].reshape(n, n_members, k)
+    return UdistSplit(np.column_stack([struct, signal]), labels, _softmax(logits))
 
 
 def gen_udist_task(config: SynthUdistConfig = DEFAULT_UDIST_CONFIG) -> UdistTask:

@@ -10,6 +10,7 @@ Two file kinds flow through the distillation pipeline:
 
 from __future__ import annotations
 
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,12 +25,14 @@ from .records import (
     RecordError,
     RecordFormat,
     RecordTable,
+    _array_parts,
     _as_table,
     _integral,
+    _interleaved,
     _jsonl_objects,
-    _jsonl_text,
     _located,
     _no_booleans,
+    _padded,
     _record_id,
     parse_records,
 )
@@ -69,10 +72,15 @@ def parse_feature_records(stream) -> list[FeatureRecord]:
 
 
 def write_feature_records(records: Sequence[FeatureRecord]) -> str:
-    return _jsonl_text(
-        {"id": rec.instance_id, "features": list(rec.features), "true": rec.true_label}
-        for rec in records
-    )
+    """Feature JSON Lines from the records' columns: each line is ``json.dumps`` of
+    ``{"id", "features", "true"}`` without spaces."""
+    values, present = _padded([rec.features for rec in records])
+    return _interleaved([
+        '{"id":', [json.dumps(rec.instance_id) for rec in records],
+        *_array_parts(',"features":', values, present),
+        ',"true":', np.array([rec.true_label for rec in records], dtype=np.int64).astype(str),
+        "}\n",
+    ])
 
 
 @contextmanager

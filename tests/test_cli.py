@@ -153,6 +153,32 @@ class TestEval:
         payload = json.loads(out)
         assert payload["n_correct"] + payload["n_incorrect"] == 4
 
+    # a string id keeps the file on the column reader; a numeric id sends it
+    # through the per-record reader
+    @pytest.mark.parametrize("first_id", ["a", 7])
+    def test_multilabel_mode_drops_ood_records(self, tmp_path, capsys, first_id):
+        rows = [
+            {"id": first_id, "probs": [0.9, 0.2], "truths": [1, 0]},
+            {"id": "b", "probs": [0.4, 0.8], "truths": [1, 1]},
+            {"id": "c", "probs": [0.1, 0.7], "truths": [1, 0], "tag": "ood"},
+        ]
+        path = tmp_path / "ml.jsonl"
+        write_jsonl(path, rows[:2])
+        _, without_ood, _ = run(capsys, "eval", str(path), "--mode", "multi-label")
+        write_jsonl(path, rows)
+        code, out, _ = run(capsys, "eval", str(path), "--mode", "multi-label")
+        assert code == 0
+        assert out == without_ood
+        assert json.loads(out)["n_correct"] + json.loads(out)["n_incorrect"] == 4
+
+    @pytest.mark.parametrize("row_id", ["a", 7])
+    def test_multilabel_mode_without_in_distribution_records(self, tmp_path, capsys, row_id):
+        path = tmp_path / "ml.jsonl"
+        write_jsonl(path, [{"id": row_id, "probs": [0.9, 0.2], "truths": [1, 0], "tag": "ood"}])
+        code, out, err = run(capsys, "eval", str(path), "--mode", "multi-label")
+        assert (code, out) == (1, "")
+        assert err == "error: no in-distribution records in input\n"
+
     def test_curve_out_writes_csv(self, mixed_file, tmp_path, capsys):
         curve_path = tmp_path / "curve.csv"
         code, _, _ = run(

@@ -1,9 +1,11 @@
-"""The array emitters against the per-point emitters they replace.
+"""The array emitters against the per-point and per-record emitters they replace.
 
 ``eval`` and ``curve`` write curves from whole arrays and format each
 distinct coordinate once. Their bytes must equal those of the reference
 emitters in ``oracles.py``: ``json.dumps`` of ``AucccReport.to_dict``
-plus the two scores, and one ``repr`` per value in the CSV.
+plus the two scores, and one ``repr`` per value in the CSV. Record and
+feature files are written from columns too, and must equal one compact
+``json.dumps`` per record.
 """
 
 import contextlib
@@ -21,8 +23,19 @@ from hypothesis import strategies as st
 import oracles
 from uqkit.ccc import CCCCurve, ccc_curve, coordinate_text, curve_to_csv, evaluate, points_json
 from uqkit.cli import main
-from uqkit.records import OutcomeSet
+from uqkit.records import (
+    DistTag,
+    OutcomeSet,
+    PredictionRecord,
+    RecordError,
+    RecordTable,
+    first_argmax,
+    parse_records,
+    write_records_csv,
+    write_records_jsonl,
+)
 from uqkit.scoring import score_outcomes
+from uqkit.taskio import FeatureRecord, write_feature_records
 
 # confidences whose repr takes an exponent, a sign or the most digits
 SPECIAL = [0.0, -0.0, 1.0, 1e-05, 5e-324, 2.5e-08, 0.5, 1 / 3, 0.1, 0.9999999999999999]
@@ -127,3 +140,98 @@ def test_hand_built_curve_with_infinite_thresholds():
 def test_nan_coordinate_is_rejected():
     with pytest.raises(ValueError, match="unit square"):
         CCCCurve(x=[0.0, math.nan, 1.0], y=[0.0, 0.5, 1.0], thresholds=[math.inf, 0.5, 0.1])
+
+
+# ids that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII text and U+2028, which JSON allows raw but ensure_ascii escapes
+ID_TEXT = st.text(st.sampled_from(
+    ['a', '7', '"', '\\', '\n', '\x00', 'é', '\u2028', '\U0001f600']
+))
+SMALL = [0.0, -0.0, 5e-324, 1e-05, 2.5e-08]
+
+
+@st.composite
+def probability_vectors(draw):
+    """Valid probability vectors: small or special values and one that makes the sum 1."""
+    small = draw(st.lists(st.one_of(st.sampled_from(SMALL), st.floats(0.0, 0.1)),
+                          max_size=5))
+    at = draw(st.integers(0, len(small)))
+    return tuple(small[:at] + [1.0 - math.fsum(small)] + small[at:])
+
+
+@st.composite
+def prediction_records(draw):
+    """Records with or without probabilities (ragged across rows), labels, confidences and tags."""
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        probs = draw(st.one_of(st.none(), probability_vectors()))
+        ood = draw(st.booleans())
+        bound = len(probs) if probs is not None else 1000
+        true = draw(st.one_of(st.none(), st.integers(0, bound - 1)) if ood
+                    else st.integers(0, bound - 1))
+        rows.append(PredictionRecord(
+            instance_id=f"{i}:" + draw(ID_TEXT),  # unique: the text holds no colon
+            pred_label=(first_argmax(probs) if probs is not None
+                        else draw(st.integers(0, 2**63 - 1))),
+            probs=probs,
+            true_label=true,
+            confidence=draw(st.one_of(st.none(), st.sampled_from(SMALL + [1.0]),
+                                      st.floats(0.0, 1.0))),
+            dist_tag=DistTag.OUT_OF_DISTRIBUTION if ood else DistTag.IN_DISTRIBUTION,
+        ))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(prediction_records())
+def test_record_writer_matches_per_record_dumps(records):
+    want = oracles.records_jsonl(records)
+    assert write_records_jsonl(records) == want
+    assert write_records_jsonl(RecordTable.from_records(records)) == want
+    if want:
+        assert write_records_jsonl(parse_records(want)) == want
+    if len({len(r.probs) for r in records if r.probs is not None}) <= 1:  # one CSV width
+        assert write_records_csv(records) == oracles.records_csv(records)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(
+    ID_TEXT,
+    st.lists(st.one_of(st.sampled_from(SMALL + [1.0, -1e300]), st.floats(allow_nan=False)),
+             min_size=1, max_size=6),
+    st.integers(0, 2**63 - 1),
+), max_size=12))
+def test_feature_writer_matches_per_record_dumps(rows):
+    records = [FeatureRecord(instance_id=rid, features=tuple(map(float, features)), true_label=y)
+               for rid, features, y in rows]
+    assert write_feature_records(records) == oracles.features_jsonl(records)
+
+
+def test_feature_writer_spells_non_finite_values_as_json_does():
+    records = [FeatureRecord("a", (math.nan, math.inf, -math.inf, -0.0), 1)]
+    assert write_feature_records(records) == oracles.features_jsonl(records)
+    assert "[NaN,Infinity,-Infinity,-0.0]" in write_feature_records(records)
+
+
+def test_invalid_table_row_raises_the_record_error():
+    table = RecordTable(ids=["a", "b"], pred=np.array([0, 0]), true=np.array([0, 0]),
+                        conf=np.array([np.nan, 0.5]), ood=np.array([False, False]),
+                        probs=np.array([[1.0, 0.0], [0.6, 0.5]]))
+    with pytest.raises(RecordError) as today:
+        oracles.records_jsonl(table)
+    for write in (write_records_jsonl, write_records_csv):
+        with pytest.raises(RecordError) as written:
+            write(table)
+        assert str(written.value) == str(today.value) == (
+            "record 'b': probability sum 1.1 exceeds tolerance"
+        )
+
+
+def test_table_row_with_a_gap_writes_the_probabilities_it_has():
+    # a hand-built row whose NaN is not trailing padding reads as the record (1.0,)
+    table = RecordTable(ids=["a"], pred=np.array([0]), true=np.array([0]),
+                        conf=np.array([np.nan]), ood=np.array([False]),
+                        probs=np.array([[np.nan, 1.0, np.nan]]))
+    assert write_records_jsonl(table) == oracles.records_jsonl(table) == (
+        '{"id":"a","probs":[1.0],"pred":0,"true":0,"tag":"id"}\n'
+    )

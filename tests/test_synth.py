@@ -1,14 +1,20 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import pairwise_auccc, splitmix64_words
+from oracles import gen_split_per_row, pairwise_auccc, splitmix64_words
 from uqkit.ccc import auccc_rank
 from uqkit.records import OutcomeSet
 from uqkit.rng import PortableRng
 from uqkit.synth import (
+    CLASS_MEAN_SCALE,
     ConfidenceDist,
     SynthOutcomeConfig,
     SynthUdistConfig,
+    _gen_split,
     gen_outcomes,
     gen_udist_task,
 )
@@ -219,3 +225,49 @@ class TestGenUdistTask:
             SynthUdistConfig(ensemble_size=0)
         with pytest.raises(ValueError, match="non-negative"):
             SynthUdistConfig(noise_scale=-0.1)
+
+
+def assert_split_matches_per_row(n: int, config: SynthUdistConfig) -> None:
+    """The two-pass split equals the per-row one bit for bit, and leaves the stream where it did."""
+    rng = PortableRng(config.seed)
+    means = np.array([[CLASS_MEAN_SCALE * rng.normal() for _ in range(config.feature_dim - 1)]
+                      for _ in range(config.n_classes)])
+    rngs = rng, copy.deepcopy(rng)
+    split = _gen_split(n, means, config, rngs[0])
+    features, labels, member_probs = gen_split_per_row(n, means, config, rngs[1])
+    assert split.features.tobytes() == features.tobytes()
+    assert split.features.shape == features.shape
+    assert split.labels.tobytes() == labels.tobytes()
+    assert split.member_probs.tobytes() == member_probs.tobytes()
+    assert split.member_probs.shape == member_probs.shape
+    # the next word and the next normal, which may be a cached spare: same draws, same order
+    assert [rngs[0].next_u64(), rngs[0].normal()] == [rngs[1].next_u64(), rngs[1].normal()]
+
+
+class TestTwoPassSplit:
+    """``_gen_split`` takes every draw, then computes in numpy; the oracle goes row by row."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 25),
+        feature_dim=st.integers(2, 40),
+        n_classes=st.integers(2, 13),
+        ensemble_size=st.integers(1, 8),
+        noise_scale=st.sampled_from([0.0, 0.05, 1.5]),
+        strength=st.sampled_from([0.0, 5.0, 0.3]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_per_row_split(self, n, feature_dim, n_classes, ensemble_size,
+                                   noise_scale, strength, seed):
+        config = SynthUdistConfig(feature_dim=feature_dim, n_classes=n_classes,
+                                  ensemble_size=ensemble_size, noise_scale=noise_scale,
+                                  error_signal_strength=strength, seed=seed)
+        assert_split_matches_per_row(n, config)
+
+    @pytest.mark.parametrize("config", [
+        SynthUdistConfig(),
+        SynthUdistConfig(feature_dim=12, n_classes=7, ensemble_size=3, seed=1),
+        SynthUdistConfig(feature_dim=200, n_classes=2, ensemble_size=1, seed=2),
+    ], ids=["default", "12x7x3", "wide-features"])
+    def test_matches_per_row_split_at_size(self, config):
+        assert_split_matches_per_row(500, config)
