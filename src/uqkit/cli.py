@@ -205,14 +205,14 @@ def cmd_distill(args) -> int:
         raise ValueError("either --train or --predict is required")
     if args.out is None:
         raise ValueError("--train needs --out for the model file")
-    _ids, features, member_probs, labels, _tags = _aligned_task(args.train, args.ensemble_dirs)
-    data = make_cascade_examples(features, member_probs, labels, args.temperature_train)
     config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    _ids, features, member_probs, labels, _tags = _aligned_task(args.train, args.ensemble_dirs)
+    data = make_cascade_examples(features, member_probs, labels, args.temperature_train)
     model = train_confidence_model(data, config)
     for epoch, loss in enumerate(model.epoch_losses):
         print(f"epoch {epoch}: mean confidence loss {loss:.6f}", file=sys.stderr)

@@ -85,6 +85,8 @@ class TrainConfig:
     lr_decay: float = 0.1  # multiplier applied at 1/2 and 3/4 of the epochs
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be a finite number, got {self.learning_rate}")
         if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -187,12 +189,22 @@ class ConfidenceModel:
 
 
 def _layer_outputs(model: ConfidenceModel, x: np.ndarray):
-    """The input and each tanh hidden layer's activations, and the sigmoid output."""
+    """The input and each tanh hidden layer's activations, and the sigmoid output.
+
+    Each layer is computed in its own fresh array, one ufunc at a time in
+    the order of ``tanh(a @ w + b)`` and ``1 / (1 + exp(-z))``.
+    """
     activations = [x]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        activations.append(np.tanh(activations[-1] @ w + b))
-    z = activations[-1] @ model.weights[-1] + model.biases[-1]
-    return activations, 1.0 / (1.0 + np.exp(-z))
+        h = activations[-1] @ w
+        h += b
+        activations.append(np.tanh(h, out=h))
+    z = activations[-1] @ model.weights[-1]
+    z += model.biases[-1]
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return activations, np.divide(1.0, z, out=z)
 
 
 def init_confidence_model(
@@ -213,13 +225,18 @@ def init_confidence_model(
 
 
 def loss_and_grads(
-    model: ConfidenceModel, x: np.ndarray, targets: np.ndarray
+    model: ConfidenceModel,
+    x: np.ndarray,
+    targets: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean confidence loss over a batch and its parameter gradients.
 
     The gradient is exact for the clamped loss: where the sigmoid output
     falls outside the clamp range the loss is locally constant in the
-    score, so the contribution is zero.
+    score, so the contribution is zero. ``out``, if given, holds one
+    ``(dw, db)`` pair of buffers per layer, shaped like the parameters;
+    the gradients are written into them and ``out`` is returned.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -227,23 +244,27 @@ def loss_and_grads(
         t = t.reshape(-1, 1)
     if x.ndim != 2 or x.shape[0] != t.shape[0] or t.shape[1] != model.output_dim:
         raise ValueError("batch inputs and targets have inconsistent shapes")
+    if out is None:
+        out = [(np.empty_like(w), np.empty_like(b)) for w, b in zip(model.weights, model.biases)]
 
     activations, s = _layer_outputs(model, x)
-    losses, dloss_dsc = _clamped_log_loss(s, t)
-    inside_clamp = (s > LOG_CLAMP) & (s < 1.0 - LOG_CLAMP)
-    dz = dloss_dsc * (1.0 / t.size) * inside_clamp * s * (1.0 - s)
+    losses, dz = _clamped_log_loss(s, t)
+    # dz = dloss/ds * (1 / t.size) * inside_clamp * s * (1 - s), left to right
+    dz *= 1.0 / t.size
+    dz *= (s > LOG_CLAMP) & (s < 1.0 - LOG_CLAMP)
+    dz *= s
+    dz *= np.subtract(1.0, s, out=s)
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(len(model.weights) - 1, -1, -1):
-        a_in = activations[layer]
-        dw = a_in.T @ dz
-        db = dz.sum(axis=0)
-        grads.append((dw, db))
+        dw, db = out[layer]
+        np.matmul(activations[layer].T, dz, out=dw)
+        np.add.reduce(dz, axis=0, out=db)
         if layer > 0:
-            da = dz @ model.weights[layer].T
-            dz = da * (1.0 - activations[layer] ** 2)
-    grads.reverse()
-    return float(np.mean(losses)), grads
+            # da * (1 - a**2), with the spent activation as scratch
+            a = activations[layer]
+            dz = dz @ model.weights[layer].T
+            dz *= np.subtract(1.0, np.square(a, out=a), out=a)
+    return float(np.add.reduce(losses, axis=None) / losses.size), out
 
 
 def train_confidence_model(
@@ -277,6 +298,17 @@ def train_confidence_model(
     return _fit(model, x, t, config, rng)
 
 
+def _layer_views(flat: np.ndarray, model: ConfidenceModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A ``(w, b)`` pair of views into ``flat`` per layer, laid out and shaped as in ``model``."""
+    views = []
+    start = 0
+    for w, b in zip(model.weights, model.biases):
+        mid = start + w.size
+        views.append((flat[start:mid].reshape(w.shape), flat[mid : mid + b.size]))
+        start = mid + b.size
+    return views
+
+
 def _fit(
     model: ConfidenceModel,
     x: np.ndarray,
@@ -284,6 +316,15 @@ def _fit(
     config: TrainConfig,
     rng: PortableRng,
 ) -> ConfidenceModel:
+    # the parameters move into one flat buffer that each step updates in
+    # place: g *= lr; params -= g is w -= lr * dw for every element at once
+    params = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
+    grad = np.empty_like(params)
+    grads = _layer_views(grad, model)
+    layers = _layer_views(params, model)
+    model.weights = [w for w, _ in layers]
+    model.biases = [b for _, b in layers]
+
     n = x.shape[0]
     lr = config.learning_rate
     decay_points = {config.epochs // 2, (3 * config.epochs) // 4}
@@ -292,20 +333,19 @@ def _fit(
         if epoch in decay_points and epoch > 0:
             lr *= config.lr_decay
         order = rng.permutation(n)
+        x_epoch = x[order]
+        t_epoch = t[order]
         epoch_loss_total = 0.0
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            xb = x[batch]
-            tb = t[batch]
-            loss, grads = loss_and_grads(model, xb, tb)
+            xb = x_epoch[start : start + config.batch_size]
+            loss, _ = loss_and_grads(model, xb, t_epoch[start : start + config.batch_size], grads)
             if not math.isfinite(loss):
                 raise ArithmeticError(
                     f"non-finite training loss at epoch {epoch}, batch start {start}"
                 )
-            epoch_loss_total += loss * len(batch)
-            for (w, b), (dw, db) in zip(zip(model.weights, model.biases), grads):
-                w -= lr * dw
-                b -= lr * db
+            epoch_loss_total += loss * xb.shape[0]
+            grad *= lr
+            params -= grad
         model.epoch_losses.append(epoch_loss_total / n)
     return model
 

@@ -345,10 +345,6 @@ class OutcomeSet:
         ):
             raise ValueError("confidence out of range: all values must lie in [0, 1]")
 
-    @property
-    def entries(self) -> list[tuple[bool, float]]:
-        return [(bool(c), float(s)) for c, s in zip(self.correct, self.confidence)]
-
     def __len__(self) -> int:
         return len(self.correct)
 

@@ -41,9 +41,11 @@ def _clamped_log_loss(s, t) -> tuple[np.ndarray, np.ndarray]:
     at 0 and 1; the derivative is taken at the clipped score. ``eval``'s
     cross entropy and the distillation loss both come from here.
     """
-    sc = np.clip(s, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    loss = -(t * np.log(sc) + (1.0 - t) * np.log(1.0 - sc))
-    return loss, -t / sc + (1.0 - t) / (1.0 - sc)
+    sc = np.minimum(np.maximum(s, LOG_CLAMP), 1.0 - LOG_CLAMP)  # np.clip's bits, NaN included
+    t_not = 1.0 - t
+    sc_not = 1.0 - sc
+    loss = -(t * np.log(sc) + t_not * np.log(sc_not))
+    return loss, -t / sc + t_not / sc_not
 
 
 def cross_entropy(outcomes: OutcomeSet) -> float:

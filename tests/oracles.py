@@ -5,7 +5,9 @@ is a direct O(n*n) comparison count, the temperature closed form uses the
 power identity rather than softmax-of-logs, gradients come from
 central finite differences, SplitMix64 words are computed one at a
 time in Python integers, curves and record files are written one
-point or record at a time, and the synthetic split is drawn one row at a time.
+point or record at a time, the synthetic split is drawn one row at a time,
+and training gathers each batch on its own and updates each parameter
+array on its own, with every intermediate in a fresh array.
 """
 
 from __future__ import annotations
@@ -151,3 +153,61 @@ def records_csv(records) -> str:
                         + [rec.dist_tag.value]
                         + ([repr(p) for p in rec.probs] if rec.probs else [""] * n_probs))
     return buf.getvalue()
+
+
+def loss_and_grads_allocating(model, x, t):
+    """Mean clamped log loss and per-layer ``(dw, db)``, every intermediate a fresh array.
+
+    ``x`` is (n, d) and ``t`` is (n, outputs), both float64.
+    """
+    activations = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    z = activations[-1] @ model.weights[-1] + model.biases[-1]
+    s = 1.0 / (1.0 + np.exp(-z))
+    clamp = 1e-7
+    sc = np.clip(s, clamp, 1.0 - clamp)
+    losses = -(t * np.log(sc) + (1.0 - t) * np.log(1.0 - sc))
+    dloss_dsc = -t / sc + (1.0 - t) / (1.0 - sc)
+    inside_clamp = (s > clamp) & (s < 1.0 - clamp)
+    dz = dloss_dsc * (1.0 / t.size) * inside_clamp * s * (1.0 - s)
+    grads = []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads.append((activations[layer].T @ dz, dz.sum(axis=0)))
+        if layer > 0:
+            da = dz @ model.weights[layer].T
+            dz = da * (1.0 - activations[layer] ** 2)
+    grads.reverse()
+    return float(np.mean(losses)), grads
+
+
+def train_per_parameter(data, config):
+    """``train_confidence_model`` as a loop of gathered batches and per-array updates.
+
+    Uses the library's Glorot init and epoch shuffles, so only the training
+    arithmetic is independent. Returns the trained model.
+    """
+    from uqkit.distill import DEFAULT_HIDDEN, TARGET_CLAMP, init_confidence_model
+    from uqkit.rng import PortableRng
+
+    x, t = (np.asarray(a, dtype=np.float64) for a in data)
+    t = np.clip(t.reshape(-1, 1), TARGET_CLAMP, 1.0 - TARGET_CLAMP)
+    rng = PortableRng(config.seed)
+    model = init_confidence_model(x.shape[1], DEFAULT_HIDDEN, 1, rng)
+    n = x.shape[0]
+    lr = config.learning_rate
+    decay_points = {config.epochs // 2, (3 * config.epochs) // 4}
+    for epoch in range(config.epochs):
+        if epoch in decay_points and epoch > 0:
+            lr *= config.lr_decay
+        order = rng.permutation(n)
+        epoch_loss_total = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grads = loss_and_grads_allocating(model, x[batch], t[batch])
+            epoch_loss_total += loss * len(batch)
+            for (w, b), (dw, db) in zip(zip(model.weights, model.biases), grads):
+                w -= lr * dw
+                b -= lr * db
+        model.epoch_losses.append(epoch_loss_total / n)
+    return model

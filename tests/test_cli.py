@@ -551,6 +551,17 @@ class TestDistillInputErrors:
         self.assert_one_error_line(code, err, "temperature must be positive")
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_train_nonfinite_learning_rate(self, two_class_task, tmp_path, capsys, lr):
+        feats, member = two_class_task(1)
+        model_path = tmp_path / "model.json"
+        code, _, err = run(
+            capsys, "distill", "--train", str(feats), "--ensemble-dirs", str(member),
+            "--lr", lr, "--epochs", "1", "--out", str(model_path),
+        )
+        self.assert_one_error_line(code, err, f"learning rate must be a finite number, got {lr}")
+        assert not model_path.exists()
+
     @pytest.mark.parametrize(
         "model_doc, fragment",
         [

@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import central_difference, relative_error
+from oracles import (
+    central_difference,
+    loss_and_grads_allocating,
+    relative_error,
+    train_per_parameter,
+)
 from uqkit.distill import (
     ConfidenceModel,
     TrainConfig,
@@ -16,6 +23,7 @@ from uqkit.distill import (
     train_confidence_model,
 )
 from uqkit.rng import PortableRng
+from uqkit.synth import gen_udist_task
 
 
 class TestConfidenceLoss:
@@ -217,6 +225,104 @@ class TestNetworkGradients:
                         assert relative_error(gflat[idx], fd) < 1e-4
 
 
+def grad_bytes(grads):
+    return [(dw.tobytes(), db.tobytes()) for dw, db in grads]
+
+
+class TestLossAndGradsBuffers:
+    """``loss_and_grads`` with ``out=`` buffers computes the same bits as without."""
+
+    def batch(self, n=7, n_in=5, n_out=1, seed=3):
+        rng = np.random.default_rng(seed)
+        model = init_confidence_model(n_in, (4, 3), n_out, PortableRng(seed))
+        return model, rng.normal(size=(n, n_in)), rng.uniform(0.01, 0.99, size=(n, n_out))
+
+    def buffers(self, model):
+        return [(np.full_like(w, np.nan), np.full_like(b, np.nan))
+                for w, b in zip(model.weights, model.biases)]
+
+    @pytest.mark.parametrize("n, n_out", [(1, 1), (7, 1), (64, 1), (9, 3)])
+    def test_same_bits_with_and_without_buffers(self, n, n_out):
+        model, x, t = self.batch(n=n, n_out=n_out)
+        loss, grads = loss_and_grads(model, x, t)
+        out = self.buffers(model)
+        loss_out, grads_out = loss_and_grads(model, x, t, out)
+        assert np.float64(loss_out).tobytes() == np.float64(loss).tobytes()
+        assert grad_bytes(grads_out) == grad_bytes(grads)
+        assert grads_out is out
+
+    @pytest.mark.parametrize("n, n_out", [(1, 1), (7, 1), (9, 3)])
+    def test_same_bits_as_allocating_oracle(self, n, n_out):
+        model, x, t = self.batch(n=n, n_out=n_out, seed=n)
+        loss, grads = loss_and_grads(model, x, t, self.buffers(model))
+        expected_loss, expected = loss_and_grads_allocating(model, x, t)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert grad_bytes(grads) == grad_bytes(expected)
+
+    def test_leaves_inputs_and_parameters_unchanged(self):
+        model, x, t = self.batch()
+        before = [a.copy() for a in (x, t, *model.weights, *model.biases)]
+        loss_and_grads(model, x, t, self.buffers(model))
+        after = (x, t, *model.weights, *model.biases)
+        assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
+
+    def test_accepts_lists_and_flat_targets(self):
+        model, x, t = self.batch()
+        loss, grads = loss_and_grads(model, x.tolist(), t[:, 0].tolist())
+        loss_out, grads_out = loss_and_grads(model, x, t, self.buffers(model))
+        assert loss == loss_out
+        assert grad_bytes(grads) == grad_bytes(grads_out)
+
+    def test_inconsistent_shapes_rejected_with_buffers(self):
+        model, x, t = self.batch()
+        with pytest.raises(ValueError, match="batch inputs and targets have inconsistent shapes"):
+            loss_and_grads(model, x, t[:-1], self.buffers(model))
+
+
+def random_training_data(n, width, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, width)), rng.uniform(0.001, 0.999, size=n)
+
+
+def assert_same_training(model, expected):
+    assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in expected.weights]
+    assert [b.tobytes() for b in model.biases] == [b.tobytes() for b in expected.biases]
+    assert (np.array(model.epoch_losses).tobytes()
+            == np.array(expected.epoch_losses).tobytes())
+
+
+class TestTrainingMatchesPerParameterOracle:
+    """Flat-buffer training gives the bits of per-batch gathers and per-array updates."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bit_identical_to_oracle(self, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        batch_size = data.draw(
+            st.one_of(st.just(1), st.just(n), st.just(n + 5), st.integers(1, n + 5)),
+            label="batch_size",
+        )
+        config = TrainConfig(
+            learning_rate=data.draw(st.floats(1e-3, 2.0), label="learning_rate"),
+            epochs=data.draw(st.integers(1, 6), label="epochs"),
+            batch_size=batch_size,
+            seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+            lr_decay=data.draw(st.floats(0.01, 1.0), label="lr_decay"),
+        )
+        width = data.draw(st.integers(1, 20), label="width")
+        examples = random_training_data(n, width, data.draw(st.integers(0, 2**32 - 1)))
+        assert_same_training(train_confidence_model(examples, config),
+                             train_per_parameter(examples, config))
+
+    def test_bit_identical_to_oracle_on_default_task(self):
+        task = gen_udist_task()
+        config = TrainConfig()
+        examples = make_cascade_examples(task.train.features, task.train.member_probs,
+                                         task.train.labels, config.train_temperature)
+        assert_same_training(train_confidence_model(examples, config),
+                             train_per_parameter(examples, config))
+
+
 class TestTraining:
     def make_constant_target_data(self, n=64, c=0.3, seed=4):
         rng = PortableRng(seed)
@@ -289,3 +395,6 @@ class TestTraining:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        for lr in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="learning rate must be a finite number"):
+                TrainConfig(learning_rate=lr)

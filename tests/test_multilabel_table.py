@@ -176,8 +176,9 @@ def test_rows_of_different_class_counts_keep_their_classes(monkeypatch, chunk):
     table = parse_multilabel_records(text)
     assert table == recs and table.probs.shape == (3, 3)
     assert math.isnan(table.probs[0, 2]) and np.isnan(table.probs[2]).all()
-    assert binarize_multilabel(table).entries == [
-        (True, 0.9), (True, 0.8), (False, 0.6), (True, 0.6), (False, 0.5)]
+    outcomes = binarize_multilabel(table)
+    assert outcomes.correct.tolist() == [True, True, False, True, False]
+    assert outcomes.confidence.tolist() == [0.9, 0.8, 0.6, 0.6, 0.5]
 
 
 def test_table_reads_as_a_record_sequence():

@@ -261,24 +261,28 @@ class TestOutcomeSet:
 
     def test_entries(self):
         s = OutcomeSet([True, False], [0.9, 0.1])
-        assert s.entries == [(True, 0.9), (False, 0.1)]
+        assert s.correct.tolist() == [True, False]
+        assert s.confidence.tolist() == [0.9, 0.1]
 
 
 class TestDeriveOutcomes:
     def test_correct_id_record(self):
         out = derive_outcomes([rec(conf=0.8)], ConfidenceSource.EXPLICIT_FIELD)
-        assert out.entries == [(True, 0.8)]
+        assert out.correct.tolist() == [True]
+        assert out.confidence.tolist() == [0.8]
 
     def test_ood_record_always_incorrect(self):
         # even a "matching" prediction on an OOD record counts as incorrect
         r = rec(pred=0, true=0, conf=0.99, tag=DistTag.OUT_OF_DISTRIBUTION)
         out = derive_outcomes([r], ConfidenceSource.EXPLICIT_FIELD)
-        assert out.entries == [(False, 0.99)]
+        assert out.correct.tolist() == [False]
+        assert out.confidence.tolist() == [0.99]
 
     def test_max_softmax_confidence_on_misclassification(self):
         r = rec(pred=0, probs=(0.6, 0.4), true=1)
         out = derive_outcomes([r], ConfidenceSource.MAX_SOFTMAX)
-        assert out.entries == [(False, 0.6)]
+        assert out.correct.tolist() == [False]
+        assert out.confidence.tolist() == [0.6]
 
     def test_missing_source_identifies_record(self):
         with pytest.raises(RecordError, match="'r7'"):
@@ -288,21 +292,25 @@ class TestDeriveOutcomes:
         records = [rec(f"r{i}", conf=i / 10) for i in range(1, 8)]
         out = derive_outcomes(records, ConfidenceSource.EXPLICIT_FIELD)
         assert len(out) == len(records)
-        assert [c for _, c in out.entries] == [i / 10 for i in range(1, 8)]
+        assert out.confidence.tolist() == [i / 10 for i in range(1, 8)]
 
 
 class TestDeriveIoOutcomes:
     def test_misclassified_id_record_is_positive(self):
         r = rec(pred=0, true=1, conf=0.6)
-        assert derive_io_outcomes([r]).entries == [(True, 0.6)]
+        out = derive_io_outcomes([r])
+        assert out.correct.tolist() == [True]
+        assert out.confidence.tolist() == [0.6]
 
     def test_ood_record_is_negative(self):
         r = rec(pred=0, true=None, conf=0.3, tag=DistTag.OUT_OF_DISTRIBUTION)
-        assert derive_io_outcomes([r]).entries == [(False, 0.3)]
+        out = derive_io_outcomes([r])
+        assert out.correct.tolist() == [False]
+        assert out.confidence.tolist() == [0.3]
 
     def test_all_id_input_gives_all_positive(self):
         out = derive_io_outcomes([rec("a", conf=0.2), rec("b", conf=0.9)])
-        assert all(c for c, _ in out.entries)
+        assert out.correct.all()
 
     def test_label_permutation_leaves_output_unchanged(self):
         records = [rec(f"r{i}", pred=i % 3, true=i % 2, conf=0.1 * i) for i in range(1, 9)]
@@ -321,15 +329,20 @@ class TestBinarizeMultilabel:
     def test_two_class_example(self):
         r = MultiLabelRecord("a", (0.9, 0.1), (1, 0))
         out = binarize_multilabel([r], 0.5)
-        assert out.entries == [(True, 0.9), (True, 0.9)]
+        assert out.correct.tolist() == [True, True]
+        assert out.confidence.tolist() == [0.9, 0.9]
 
     def test_predicted_negative_truth_positive(self):
         r = MultiLabelRecord("a", (0.4,), (1,))
-        assert binarize_multilabel([r], 0.5).entries == [(False, 0.6)]
+        out = binarize_multilabel([r], 0.5)
+        assert out.correct.tolist() == [False]
+        assert out.confidence.tolist() == [0.6]
 
     def test_boundary_uses_greater_equal(self):
         r = MultiLabelRecord("a", (0.5,), (1,))
-        assert binarize_multilabel([r], 0.5).entries == [(True, 0.5)]
+        out = binarize_multilabel([r], 0.5)
+        assert out.correct.tolist() == [True]
+        assert out.confidence.tolist() == [0.5]
 
     def test_output_length_is_records_times_classes(self):
         records = [MultiLabelRecord(f"r{i}", (0.2, 0.6, 0.9), (0, 1, 1)) for i in range(4)]
