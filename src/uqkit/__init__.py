@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .ccc import (
     AucccReport,
     CCCCurve,
-    ConfidenceConfusion,
     DegenerateOutcomesError,
     auccc_rank,
     auccc_trapezoid,
     ccc_curve,
-    confusion_at_threshold,
     curve_to_csv,
     evaluate,
 )
@@ -51,7 +49,7 @@ from .records import (
     write_records_csv,
     write_records_jsonl,
 )
-from .scoring import ScoreReport, brier_score, cross_entropy, max_softmax_confidence
+from .scoring import ScoreReport, brier_score, cross_entropy
 from .synth import (
     ConfidenceDist,
     DEFAULT_UDIST_CONFIG,
@@ -66,7 +64,6 @@ from .synth import (
 __all__ = [
     "AucccReport",
     "CCCCurve",
-    "ConfidenceConfusion",
     "ConfidenceDist",
     "ConfidenceModel",
     "ConfidenceSource",
@@ -95,7 +92,6 @@ __all__ = [
     "ccc_curve",
     "confidence_loss",
     "confidence_loss_grad",
-    "confusion_at_threshold",
     "cross_entropy",
     "curve_to_csv",
     "derive_io_outcomes",
@@ -103,7 +99,6 @@ __all__ = [
     "evaluate",
     "gen_outcomes",
     "gen_udist_task",
-    "max_softmax_confidence",
     "parse_multilabel_records",
     "parse_records",
     "temperature_scale",

@@ -39,46 +39,6 @@ class DegenerateOutcomesError(ValueError):
     """All outcomes share one correctness class; the curve rates are undefined."""
 
 
-@dataclass(frozen=True)
-class ConfidenceConfusion:
-    """The four accept/reject outcomes at a fixed confidence threshold.
-
-    ``c_acc``: accepted and correct. ``c_rej``: rejected and incorrect.
-    ``i_acc``: accepted but incorrect. ``i_rej``: rejected but correct.
-    """
-
-    c_acc: int
-    c_rej: int
-    i_acc: int
-    i_rej: int
-    threshold: float
-
-    @property
-    def total(self) -> int:
-        return self.c_acc + self.c_rej + self.i_acc + self.i_rej
-
-    @property
-    def c_acc_rate(self) -> float:
-        return self.c_acc / (self.c_acc + self.i_rej)
-
-    @property
-    def c_rej_rate(self) -> float:
-        return self.c_rej / (self.c_rej + self.i_acc)
-
-
-def confusion_at_threshold(outcomes: OutcomeSet, threshold: float) -> ConfidenceConfusion:
-    """Count accept/reject outcomes with acceptance at confidence >= threshold."""
-    accepted = outcomes.confidence >= threshold
-    correct = outcomes.correct
-    return ConfidenceConfusion(
-        c_acc=int(np.sum(accepted & correct)),
-        c_rej=int(np.sum(~accepted & ~correct)),
-        i_acc=int(np.sum(accepted & ~correct)),
-        i_rej=int(np.sum(~accepted & correct)),
-        threshold=threshold,
-    )
-
-
 class CCCCurve:
     """Acceptance trade-off curve: x = 1 - CRejR, y = CAccR, one point per threshold.
 

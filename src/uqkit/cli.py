@@ -38,15 +38,17 @@ from .ensemble import average_probs, temperature_scale
 from .records import (
     ConfidenceSource,
     DistTag,
+    FeatureRecord,
     PredictionRecord,
     RecordError,
     RecordFormat,
     RecordTable,
-    _checked_rows,
+    _prediction_columns,
     binarize_multilabel,
     derive_io_outcomes,
     derive_outcomes,
     first_argmax,
+    parse_feature_records,
     parse_multilabel_records,
     parse_records,
     write_records_jsonl,
@@ -61,12 +63,10 @@ from .synth import (
     gen_udist_task,
 )
 from .taskio import (
-    FeatureRecord,
     align_members,
     collect_member_paths,
     load_member_records,
     naming_file,
-    parse_feature_records,
     write_feature_records,
 )
 
@@ -132,9 +132,8 @@ def cmd_curve(args) -> int:
 def _probability_records(ids, probs, trues, tags, confidence=None) -> RecordTable:
     """The records of (n, K) probability rows; confidence defaults to the row maximum."""
     conf = probs.max(axis=1) if confidence is None else confidence
-    raw_tags = ["ood" if tag is DistTag.OUT_OF_DISTRIBUTION else "id" for tag in tags]
-    table = _checked_rows(ids, [None] * len(ids), trues, conf.tolist(), raw_tags, probs)
-    if table is None:  # built one by one, the first faulty record raises its error
+    table, given = _prediction_columns(ids, [None] * len(ids), trues, conf.tolist(), tags, probs)
+    if table._first_fault(*given) is not None:  # built one by one, the first faulty one raises
         table = RecordTable.from_records([
             PredictionRecord(instance_id=rid, pred_label=first_argmax(vec), probs=vec,
                              true_label=true, confidence=max(vec) if confidence is None else c,
@@ -167,25 +166,25 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
     members = load_member_records(collect_member_paths(member_paths))
     ids, probs, trues, member_tags = align_members(members)
     row_of = {rid: i for i, rid in enumerate(ids)}
-    feat_ids = [rec.instance_id for rec in feats]
-    take = [row_of.get(rid) for rid in feat_ids]
+    take = [row_of.get(rid) for rid in feats.ids]
     if None in take:
-        raise RecordError(f"instance {feat_ids[take.index(None)]!r} missing from ensemble members")
-    if len(feat_ids) < len(ids):
-        present = set(feat_ids)
+        raise RecordError(f"instance {feats.ids[take.index(None)]!r} missing from ensemble members")
+    if len(feats) < len(ids):
+        present = set(feats.ids)
         absent = next(rid for rid in ids if rid not in present)
         raise RecordError(
             f"instance {absent!r} of the ensemble members is missing from {feature_path}"
         )
-    feat_dim = len(feats[0].features)
-    for rec, j in zip(feats, take):
-        if len(rec.features) != feat_dim:
-            raise RecordError(f"instance {rec.instance_id!r} has inconsistent feature length")
-        if trues[j] not in (None, rec.true_label):
-            raise RecordError(f"instance {rec.instance_id!r}: label disagrees with members")
-    features = np.array([rec.features for rec in feats], dtype=np.float64)
-    labels = np.array([rec.true_label for rec in feats], dtype=np.int64)
-    return feat_ids, features, probs[take], labels, [member_tags[j] for j in take]
+    counts = feats.feature_counts()
+    member_true = np.array([-1 if t is None else t for t in trues], dtype=np.int64)[take]
+    ragged = counts != counts[0]
+    faults = np.flatnonzero(ragged | ((member_true >= 0) & (member_true != feats.true)))
+    if len(faults):
+        rid = feats.ids[faults[0]]
+        if ragged[faults[0]]:
+            raise RecordError(f"instance {rid!r} has inconsistent feature length")
+        raise RecordError(f"instance {rid!r}: label disagrees with members")
+    return feats.ids, feats.features, probs[take], feats.true, [member_tags[j] for j in take]
 
 
 def cmd_distill(args) -> int:
@@ -251,9 +250,7 @@ def cmd_synth_udist(args) -> int:
         seed=args.seed,
     )
     task = gen_udist_task(config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    texts = {}  # every file's text, built before any is written
     for name, split in (("train", task.train), ("test", task.test)):
         ids = [f"{name}-{i:05d}" for i in range(len(split))]
         labels = split.labels.tolist()
@@ -261,17 +258,16 @@ def cmd_synth_udist(args) -> int:
             FeatureRecord(instance_id=rid, features=tuple(row), true_label=label)
             for rid, row, label in zip(ids, split.features.tolist(), labels)
         ]
-        fpath = out_dir / f"{name}.features.jsonl"
-        fpath.write_text(write_feature_records(feats))
-        written.append(fpath)
+        texts[f"{name}.features.jsonl"] = write_feature_records(feats)
         tags = [DistTag.IN_DISTRIBUTION] * len(ids)
         for m in range(config.ensemble_size):
             recs = _probability_records(ids, split.member_probs[:, m], labels, tags)
-            mpath = out_dir / f"{name}.member{m}.jsonl"
-            mpath.write_text(write_records_jsonl(recs))
-            written.append(mpath)
-    for path in written:
-        print(f"wrote {path}", file=sys.stderr)
+            texts[f"{name}.member{m}.jsonl"] = write_records_jsonl(recs)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+        print(f"wrote {out_dir / name}", file=sys.stderr)
     return 0
 
 

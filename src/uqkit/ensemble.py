@@ -16,6 +16,8 @@ a single (K,) vector is the same call without the row axis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .records import PROB_SUM_TOLERANCE
@@ -71,10 +73,13 @@ def temperature_scale(p, temperature: float) -> np.ndarray:
     Works row-wise on (..., K). Entries are floored at 1e-12 and
     re-normalized before the log so exact zeros (e.g. from one-hot
     ensemble members) stay finite. The ordering of entries within a row
-    is preserved for every T > 0.
+    is preserved for every valid T: positive and finite, and not so small
+    that the floor's log divided by T overflows.
     """
-    if not temperature > 0.0:  # also rejects NaN
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    # NaN fails the first test; a tiny T makes the quotient overflow
+    if not (0.0 < temperature < math.inf and math.isfinite(math.log(LOG_FLOOR) / temperature)):
+        raise ValueError(f"temperature must be positive and finite, with log(1e-12) / T "
+                         f"finite, got {temperature}")
     arr = np.asarray(p, dtype=np.float64)
     _validate_distributions(arr, "row")
     floored = np.maximum(arr, LOG_FLOOR)

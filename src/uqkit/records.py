@@ -15,23 +15,26 @@ Wire formats (both round-trip losslessly for records the toolkit emits):
 - CSV: header ``id,pred,true,conf,tag,p0,...,pK``; empty cells denote
   absent optionals.
 
-:func:`parse_records` returns a :class:`RecordTable`: one column per field
-(``ids``; int64 ``pred``; int64 ``true``, -1 where absent; float64
-``conf``, NaN where absent; bool ``ood``; float64 ``probs`` of shape
-(n, K), or None), which reads as a sequence of :class:`PredictionRecord`.
-Files whose rows all have the same shape (string ids, integer labels,
-numbers, K probabilities on every row or on none) are read in chunks of
-``_PARSE_CHUNK`` lines into columns, and every record invariant is checked
-on whole columns. Any other file, and any file with a row that fails a
-check, is read by the scalar reference path instead: one
-:class:`PredictionRecord` per row, validated row by row, which raises the
-line-numbered error for the first faulty row. The two paths give equal
-tables, and the scalar path defines every message.
+Each record kind has one reader, which returns columns:
+:func:`parse_records` a :class:`RecordTable` (``ids``; int64 ``pred``;
+int64 ``true``, -1 where absent; float64 ``conf``, NaN where absent; bool
+``ood``; float64 ``probs`` of shape (n, K), or None),
+:func:`parse_multilabel_records` a :class:`MultiLabelTable` and
+:func:`parse_feature_records` a :class:`FeatureTable`. Each table reads as
+a sequence of its records.
 
-:func:`parse_multilabel_records` reads multi-label JSON Lines the same
-way into a :class:`MultiLabelTable` (``ids``; float64 ``probs`` and int64
-``truths`` of shape (n, K); bool ``ood``), and :func:`binarize_multilabel`
-pools its outcomes with array operations.
+A reader takes ``_PARSE_CHUNK`` non-blank lines (or CSV rows) at a time,
+and each chunk becomes columns. A chunk whose rows all have the canonical
+shape (string ids, integer labels, numbers, as many values on every row)
+is built in one go; any other chunk is converted row by row, which
+accepts string numbers, numeric ids, integral float labels, and ragged or
+mixed rows, padded with NaN. Each kind states its invariants once, as an
+array check (``_first_fault``) that gives the first failing row and its
+message; the record classes run the same check on a one-row table. The
+reader raises the earliest fault in file order, naming its line. At one
+row, a line that does not decode comes first, then a value that does not
+convert, then the invariants in the record class's order, then a repeated
+id.
 
 :func:`write_records_jsonl` writes from columns too: each float column is
 formatted once per distinct value (:func:`_float_text`) and the lines are
@@ -49,8 +52,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -91,17 +95,67 @@ def first_argmax(values: Sequence[float]) -> int:
     return best
 
 
+def _labels(values) -> np.ndarray:
+    """Integer labels as int64; past 64 bits, an object column, which no check passes."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _padded(rows: Sequence, labels: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of values, None for none, as an (n, K) array, and its given cells.
+
+    Float rows are padded with NaN; label rows (``labels``) with 0.
+    """
+    lengths = np.array([0 if row is None else len(row) for row in rows], dtype=np.int64)
+    given = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    flat = [value for row in rows if row is not None for value in row]
+    column = _labels(flat) if labels else np.array(flat, dtype=np.float64)
+    values = np.full(given.shape, 0 if labels else np.nan, dtype=column.dtype)
+    values[given] = column
+    return values, given
+
+
+def _nonempty(rid: str, values, what: str) -> None:
+    if values is not None and len(values) == 0:
+        raise RecordError(f"record {rid!r}: empty {what} vector")
+
+
+def _first_of(ids: list[str], checks: list) -> tuple[int, str] | None:
+    """The first row that a check flags, and the message of the first check that flags it.
+
+    ``checks`` pairs a per-row mask with the message for a row, in the
+    order the record class states its invariants. Only the combined mask
+    is scanned unless a row fails.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    message = next(message for mask, message in checks if mask[i])
+    return i, f"record {ids[i]!r}: {message(i)}"
+
+
+def _row_of(record) -> tuple:
+    """A record's fields in order, which is the row its reader's converter gives."""
+    return tuple(getattr(record, f.name) for f in fields(record))
+
+
+def _checked(built: tuple) -> None:
+    """Raise the first fault of a ``(table, given)`` that ``_of_rows`` built."""
+    table, given = built
+    fault = table._first_fault(*given)
+    if fault is not None:
+        raise RecordError(fault[1])
+
+
 @dataclass(frozen=True)
 class PredictionRecord:
     """One classifier decision plus its confidence signals.
 
-    Raises :class:`RecordError` on construction if any invariant fails:
-    probabilities must lie in [0, 1] and sum to 1 within 1e-6, the
-    predicted label must be the (first) argmax of the probabilities, or
-    non-negative without them, a true label must be non-negative and, with
-    probabilities, below their count, labels must fit in 64 bits,
-    confidence must lie in [0, 1], and in-distribution records must carry a
-    true label.
+    Raises :class:`RecordError` on construction for an empty probability
+    vector, or if any invariant of :meth:`RecordTable._first_fault` fails.
     """
 
     instance_id: str
@@ -112,48 +166,8 @@ class PredictionRecord:
     dist_tag: DistTag = DistTag.IN_DISTRIBUTION
 
     def __post_init__(self) -> None:
-        if self.probs is not None:
-            if len(self.probs) == 0:
-                raise RecordError(f"record {self.instance_id!r}: empty probability vector")
-            for p in self.probs:
-                if not (0.0 <= p <= 1.0) or math.isnan(p):
-                    raise RecordError(
-                        f"record {self.instance_id!r}: probability {p} out of range"
-                    )
-            total = math.fsum(self.probs)
-            if abs(total - 1.0) > PROB_SUM_TOLERANCE:
-                raise RecordError(
-                    f"record {self.instance_id!r}: probability sum {total:g} exceeds tolerance"
-                )
-            if self.pred_label != first_argmax(self.probs):
-                raise RecordError(
-                    f"record {self.instance_id!r}: pred {self.pred_label} is not the "
-                    f"argmax of probs (expected {first_argmax(self.probs)})"
-                )
-        if self.true_label is not None:
-            k = len(self.probs) if self.probs is not None else None
-            if self.true_label < 0 or (k is not None and self.true_label >= k):
-                classes = "" if k is None else f" for {k} classes"
-                raise RecordError(
-                    f"record {self.instance_id!r}: true label {self.true_label} "
-                    f"out of range{classes}"
-                )
-        if self.probs is None:  # with probabilities, both labels lie in [0, K)
-            for label in (self.pred_label, self.true_label):
-                if label is not None and not _LABEL_MIN <= label <= _LABEL_MAX:
-                    raise RecordError(
-                        f"record {self.instance_id!r}: label {label} does not fit in 64 bits"
-                    )
-            if self.pred_label < 0:
-                raise RecordError(
-                    f"record {self.instance_id!r}: pred {self.pred_label} out of range"
-                )
-        if self.confidence is not None and not (0.0 <= self.confidence <= 1.0):
-            raise RecordError(f"record {self.instance_id!r}: confidence out of range")
-        if self.dist_tag is DistTag.IN_DISTRIBUTION and self.true_label is None:
-            raise RecordError(
-                f"record {self.instance_id!r}: in-distribution record lacks a true label"
-            )
+        _nonempty(self.instance_id, self.probs, "probability")
+        _checked(RecordTable._of_rows([_row_of(self)]))
 
 
 class _Rows(Sequence):
@@ -180,6 +194,11 @@ class _Rows(Sequence):
             return NotImplemented
         return list(self) == list(other)
 
+    @classmethod
+    def from_records(cls, records: Sequence):
+        """The table of records, or of any objects with the record class's fields."""
+        return cls._of_rows([_row_of(r) for r in records])[0]
+
     def take(self, rows):
         """The table of the rows that a boolean mask or an index array selects, in its order."""
         rows = np.asarray(rows)
@@ -192,14 +211,28 @@ class _Rows(Sequence):
             for name, column in columns.items()
         })
 
+    @classmethod
+    def _stacked(cls, tables: list):
+        """The chunks' tables one above the other, as one table.
 
-def _padded(rows: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of numbers, None for none, as an (n, K) array padded with NaN, and its given cells."""
-    lengths = np.array([0 if row is None else len(row) for row in rows], dtype=np.int64)
-    given = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    values = np.full(given.shape, np.nan)
-    values[given] = [value for row in rows if row is not None for value in row]
-    return values, given
+        Two-dimensional columns of different widths are padded to the widest,
+        with NaN (float) or 0 (labels); a None column reads as all padding.
+        """
+        if not tables:
+            return cls._of_rows([])[0]
+        columns = {"ids": list(chain.from_iterable(t.ids for t in tables))}
+        for name in (f.name for f in fields(cls) if f.name != "ids"):
+            parts = [getattr(t, name) for t in tables]
+            known = [part for part in parts if part is not None]
+            if len({None if part is None else part.shape[1:] for part in parts}) > 1:
+                width = max(part.shape[1] for part in known)  # pad every chunk to the widest
+                fill = np.nan if known[0].dtype.kind == "f" else 0
+                parts = [np.full((len(t), width), fill) if part is None else part
+                         for t, part in zip(tables, parts)]
+                parts = [np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=fill)
+                         for part in parts]
+            columns[name] = np.concatenate(parts) if known else None
+        return cls(**columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,25 +257,68 @@ class RecordTable(_Rows):
     probs: np.ndarray | None
 
     @classmethod
-    def from_records(cls, records: Sequence[PredictionRecord]) -> "RecordTable":
-        probs, _ = _padded([r.probs for r in records])
-        return cls(
-            ids=[r.instance_id for r in records],
-            pred=np.array([r.pred_label for r in records], dtype=np.int64),
-            true=np.array([-1 if r.true_label is None else r.true_label for r in records],
-                          dtype=np.int64),
-            conf=np.array([np.nan if r.confidence is None else r.confidence for r in records],
-                          dtype=np.float64),
-            ood=np.array([r.dist_tag is DistTag.OUT_OF_DISTRIBUTION for r in records],
-                         dtype=bool),
-            probs=probs if probs.shape[1] else None,
-        )
+    def _of_rows(cls, rows: list[tuple]) -> tuple["RecordTable", tuple]:
+        """The table of rows in :class:`PredictionRecord`'s field order, None where absent.
+
+        Returns the table and what :meth:`_first_fault` needs, as
+        :func:`_prediction_columns` does.
+        """
+        ids, pred, probs, true, conf, tags = map(list, zip(*rows)) if rows else ([],) * 6
+        probs, given = _padded(probs)
+        tags = [_parse_tag(tag) for tag in tags]  # a record built directly may carry any value
+        return _prediction_columns(ids, pred, true, conf, tags, probs if probs.shape[1] else None,
+                                   given)
 
     def prob_counts(self) -> np.ndarray:
         """The number of probabilities on each row; 0 where a row has none."""
         if self.probs is None:
             return np.zeros(len(self), dtype=np.int64)
         return np.count_nonzero(~np.isnan(self.probs), axis=1)
+
+    def _first_fault(self, given=None, true_given=None, conf_given=None):
+        """The first row that breaks a :class:`PredictionRecord` invariant, and its message.
+
+        In this order: probabilities must lie in [0, 1] and sum to 1 within
+        1e-6, the predicted label must be their (first) argmax, or
+        non-negative without them, a true label must be non-negative and,
+        with probabilities, below their count, labels must fit in 64 bits,
+        confidence must lie in [0, 1], and in-distribution records must carry
+        a true label. ``given`` flags the probability cells a row gives,
+        ``true_given`` and ``conf_given`` the rows that give a true label and
+        a confidence; by default, what the table reads as given.
+        """
+        probs = np.empty((len(self), 0)) if self.probs is None else self.probs
+        if given is None:
+            given, true_given, conf_given = ~np.isnan(probs), self.true >= 0, ~np.isnan(self.conf)
+        pred, true, conf = self.pred, self.true, self.conf
+        counts = np.count_nonzero(given, axis=1)
+        has = counts > 0
+        out = given & ~((probs >= 0.0) & (probs <= 1.0))
+        inside = np.where(given & ~out, probs, 0.0)
+        first = np.zeros(len(self), dtype=np.int64)
+        if probs.shape[1]:  # the argmax among the given cells
+            at = inside.argmax(axis=1)[:, None]
+            first = np.take_along_axis(np.cumsum(given, axis=1), at, axis=1)[:, 0] - 1
+
+        def unfit(labels):
+            return (labels < _LABEL_MIN) | (labels > _LABEL_MAX)
+
+        return _first_of(self.ids, [
+            (out.any(axis=1), lambda i: f"probability {float(probs[i][out[i]][0])} out of range"),
+            (has & ~_sums_within_tolerance(inside),
+             lambda i: f"probability sum {math.fsum(inside[i].tolist()):g} exceeds tolerance"),
+            (has & (pred != first), lambda i: f"pred {int(pred[i])} is not the argmax of probs "
+                                              f"(expected {int(first[i])})"),
+            (true_given & ((true < 0) | (has & (true >= counts))),
+             lambda i: f"true label {int(true[i])} out of range"
+                       + (f" for {int(counts[i])} classes" if has[i] else "")),
+            (~has & unfit(pred), lambda i: f"label {int(pred[i])} does not fit in 64 bits"),
+            (~has & true_given & unfit(true),
+             lambda i: f"label {int(true[i])} does not fit in 64 bits"),
+            (~has & (pred < 0), lambda i: f"pred {int(pred[i])} out of range"),
+            (conf_given & ~((conf >= 0.0) & (conf <= 1.0)), lambda i: "confidence out of range"),
+            (~self.ood & ~true_given, lambda i: "in-distribution record lacks a true label"),
+        ])
 
     def _record(self, i: int) -> PredictionRecord:
         probs = None
@@ -264,9 +340,28 @@ def _as_table(records: Sequence[PredictionRecord]) -> RecordTable:
     return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
 
 
+def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
+    """Per row of probabilities in [0, 1]: does its exact sum lie within tolerance of 1?
+
+    numpy's sum differs from the correctly rounded ``math.fsum`` by at most
+    (K + 1) ulp of 1 on rows that sum to at most 2; rows whose numpy sum
+    lies that close to the tolerance's edge are summed again with
+    ``math.fsum``.
+    """
+    sums = probs.sum(axis=1)
+    slack = 2 * (probs.shape[1] + 1) * np.finfo(np.float64).eps
+    edge = np.flatnonzero(np.abs(np.abs(sums - 1.0) - PROB_SUM_TOLERANCE) <= slack)
+    sums[edge] = [math.fsum(row) for row in probs[edge].tolist()]
+    return np.abs(sums - 1.0) <= PROB_SUM_TOLERANCE
+
+
 @dataclass(frozen=True)
 class MultiLabelRecord:
-    """Independent per-class probabilities with binary ground truths."""
+    """Independent per-class probabilities with binary ground truths.
+
+    Raises :class:`RecordError` on construction if any invariant of
+    :meth:`MultiLabelTable._first_fault` fails.
+    """
 
     instance_id: str
     per_class_probs: tuple[float, ...]
@@ -274,17 +369,7 @@ class MultiLabelRecord:
     dist_tag: DistTag = DistTag.IN_DISTRIBUTION
 
     def __post_init__(self) -> None:
-        if len(self.per_class_probs) != len(self.true_labels):
-            raise RecordError(
-                f"record {self.instance_id!r}: {len(self.per_class_probs)} probs vs "
-                f"{len(self.true_labels)} truths"
-            )
-        for p in self.per_class_probs:
-            if not (0.0 <= p <= 1.0) or math.isnan(p):
-                raise RecordError(f"record {self.instance_id!r}: probability {p} out of range")
-        for t in self.true_labels:
-            if t not in (0, 1):
-                raise RecordError(f"record {self.instance_id!r}: truth {t} is not binary")
+        _checked(MultiLabelTable._of_rows([_row_of(self)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,13 +389,30 @@ class MultiLabelTable(_Rows):
     ood: np.ndarray
 
     @classmethod
-    def from_records(cls, records: Sequence[MultiLabelRecord]) -> "MultiLabelTable":
-        probs, given = _padded([r.per_class_probs for r in records])
-        truths = np.zeros(probs.shape, dtype=np.int64)
-        truths[given] = [t for r in records for t in r.true_labels]
-        ood = [r.dist_tag is DistTag.OUT_OF_DISTRIBUTION for r in records]
-        return cls(ids=[r.instance_id for r in records], probs=probs, truths=truths,
-                   ood=np.array(ood, dtype=bool))
+    def _of_rows(cls, rows: list[tuple]) -> tuple["MultiLabelTable", tuple]:
+        """The table of rows in :class:`MultiLabelRecord`'s field order, and the given cells."""
+        ids, probs, truths, tags = map(list, zip(*rows)) if rows else ([],) * 4
+        probs, probs_given = _padded(probs)
+        truths, truths_given = _padded(truths, labels=True)
+        ood = np.array([tag is DistTag.OUT_OF_DISTRIBUTION for tag in tags], dtype=bool)
+        return cls(ids=ids, probs=probs, truths=truths, ood=ood), (probs_given, truths_given)
+
+    def _first_fault(self, probs_given, truths_given) -> tuple[int, str] | None:
+        """The first row that breaks a :class:`MultiLabelRecord` invariant, and its message.
+
+        As many truths as probabilities, each probability in [0, 1], each
+        truth 0 or 1; ``probs_given`` and ``truths_given`` flag the given cells.
+        """
+        probs, truths = self.probs, self.truths
+        n_probs, n_truths = probs_given.sum(axis=1), truths_given.sum(axis=1)
+        out = probs_given & ~((probs >= 0.0) & (probs <= 1.0))
+        odd = truths_given & (truths != 0) & (truths != 1)
+        return _first_of(self.ids, [
+            (n_probs != n_truths,
+             lambda i: f"{int(n_probs[i])} probs vs {int(n_truths[i])} truths"),
+            (out.any(axis=1), lambda i: f"probability {float(probs[i][out[i]][0])} out of range"),
+            (odd.any(axis=1), lambda i: f"truth {int(truths[i][odd[i]][0])} is not binary"),
+        ])
 
     def _record(self, i: int) -> MultiLabelRecord:
         given = ~np.isnan(self.probs[i])
@@ -320,6 +422,55 @@ class MultiLabelTable(_Rows):
             true_labels=tuple(self.truths[i][given].tolist()),
             dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
         )
+
+
+@dataclass(frozen=True)
+class FeatureRecord:
+    """One labeled feature vector of a distillation task's feature file."""
+
+    instance_id: str
+    features: tuple[float, ...]
+    true_label: int
+
+    def __post_init__(self) -> None:
+        _nonempty(self.instance_id, self.features, "feature")
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable(_Rows):
+    """Feature records as columns, read as a sequence of :class:`FeatureRecord`.
+
+    ``ids`` holds the instance ids; ``features`` (float64, shape (n, d)) the
+    feature vectors, a row with fewer than d padded with NaN, which no
+    parsed feature can be; ``true`` (int64) the class labels.
+    """
+
+    ids: list[str]
+    features: np.ndarray
+    true: np.ndarray
+
+    @classmethod
+    def _of_rows(cls, rows: list[tuple]) -> tuple["FeatureTable", tuple]:
+        """The table of rows in :class:`FeatureRecord`'s field order, and the given cells."""
+        ids, features, true = map(list, zip(*rows)) if rows else ([],) * 3
+        features, given = _padded(features)
+        return cls(ids=ids, features=features, true=np.array(true, dtype=np.int64)), (given,)
+
+    def feature_counts(self) -> np.ndarray:
+        """The number of features on each row."""
+        return np.count_nonzero(~np.isnan(self.features), axis=1)
+
+    def _first_fault(self, given) -> tuple[int, str] | None:
+        """The first row with a given feature that is not finite, and its message."""
+        features = self.features
+        odd = given & ~np.isfinite(features)
+        return _first_of(self.ids, [
+            (odd.any(axis=1), lambda i: f"feature {float(features[i][odd[i]][0])} is not finite"),
+        ])
+
+    def _record(self, i: int) -> FeatureRecord:
+        row = self.features[i]
+        return FeatureRecord(self.ids[i], tuple(row[~np.isnan(row)].tolist()), int(self.true[i]))
 
 
 class OutcomeSet:
@@ -381,22 +532,6 @@ def _parse_tag(raw) -> DistTag:
     raise RecordError(f"unknown tag {raw!r} (expected 'id' or 'ood')")
 
 
-def _located(rows: Iterable[tuple[str, object]], build: Callable[[object], object]) -> list:
-    """``build(row)`` per ``(where, row)`` pair, in order; errors and repeated ids name where."""
-    records = []
-    first_seen: dict[str, str] = {}
-    for where, row in rows:
-        try:
-            rec = build(row)
-        except RecordError as exc:
-            raise RecordError(f"{where}: {exc}") from None
-        first = first_seen.setdefault(rec.instance_id, where)
-        if first != where:  # every row has its own line number
-            raise RecordError(f"{where}: duplicate id {rec.instance_id!r} (first on {first})")
-        records.append(rec)
-    return records
-
-
 _PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
 
 # the bytes a JSON text's nesting depends on (quotes, brackets, backslashes)
@@ -407,16 +542,18 @@ _NESTING[list(b"[{")] = 1
 _NESTING[list(b"]}")] = -1
 
 
-def _json_line(where: str, line: str) -> dict:
-    """One JSON Lines line decoded on its own; errors name ``where``."""
+def _json_object(row) -> dict:
+    """A JSON Lines row's object: one that its chunk's array gave, or its line decoded alone."""
+    if isinstance(row, dict):
+        return row
     try:
-        obj = json.loads(line)
+        obj = json.loads(row)
     except json.JSONDecodeError as exc:
-        raise RecordError(f"{where}: malformed JSON ({exc.msg})") from None
+        raise RecordError(f"malformed JSON ({exc.msg})") from None
     except (ValueError, RecursionError) as exc:
-        raise RecordError(f"{where}: malformed JSON ({exc})") from None
+        raise RecordError(f"malformed JSON ({exc})") from None
     if not isinstance(obj, dict):
-        raise RecordError(f"{where}: expected a JSON object")
+        raise RecordError("expected a JSON object")
     return obj
 
 
@@ -446,40 +583,106 @@ def _joined_objects(lines: list[str]) -> list[dict] | None:
     return None if depth[codes == ord("\n")].any() else values
 
 
-def _jsonl_chunks(stream) -> Iterator[tuple[list[int], Iterable[dict]]]:
-    """Line numbers and objects of each run of up to ``_PARSE_CHUNK`` non-blank lines.
+def _jsonl_chunks(text: str) -> Iterator[tuple[list[int], list]]:
+    """Each run of up to ``_PARSE_CHUNK`` non-blank lines: line numbers, and rows.
 
-    A run that one ``json.loads`` cannot take (:func:`_joined_objects`) is
-    decoded line by line, lazily, so a faulty line raises only once reached.
+    Lines end at a line feed only (a carriage return before it is JSON
+    whitespace), so the U+2028, U+2029 and U+0085 that JSON allows raw
+    inside strings stay put. The rows are the run's objects when one
+    ``json.loads`` takes it (:func:`_joined_objects`), else its lines, which
+    the row converters decode one by one (:func:`_json_object`).
     """
-    lines = _as_text(stream).split("\n")
+    lines = text.split("\n")
     numbered = [n for n, line in enumerate(lines, start=1) if line and not line.isspace()]
     for start in range(0, len(numbered), _PARSE_CHUNK):
         linenos = numbered[start : start + _PARSE_CHUNK]
         chunk = [lines[n - 1] for n in linenos]
-        objects = _joined_objects(chunk)
-        if objects is None:
-            objects = map(_json_line, [f"line {n}" for n in linenos], chunk)
-        yield linenos, objects
+        yield linenos, _joined_objects(chunk) or chunk
 
 
-def _jsonl_objects(stream) -> Iterator[tuple[str, dict]]:
-    """Yield ``("line N", object)`` for each non-blank line of a JSON Lines stream.
+def _decoded(build):
+    """``build`` for a chunk of objects; a chunk of undecoded lines is not canonical."""
+    return lambda rows: build(rows) if isinstance(rows[0], dict) else None
 
-    Lines end at a line feed only (a carriage return before it is JSON
-    whitespace), so the U+2028, U+2029 and U+0085 that JSON allows raw
-    inside strings stay put.
-    Raises :class:`RecordError` naming the line if the text is not UTF-8,
-    a line is not JSON (nesting too deep or an integer too long included),
-    or a line holds anything but a JSON object.
+
+def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
+    """The CSV reader's non-blank rows after the header, ``_PARSE_CHUNK`` rows at a time.
+
+    Yields line numbers (the header is line 1, and each row after it counts
+    one line) and rows. A :class:`csv.Error` (a cell over the csv module's
+    size limit, say) becomes the last row, on the reader's line, for the row
+    converter to raise.
     """
-    for linenos, objects in _jsonl_chunks(stream):
-        for lineno, obj in zip(linenos, objects):
-            yield f"line {lineno}", obj
+    line = 1
+    while True:
+        block = []
+        try:
+            block.extend(islice(reader, _PARSE_CHUNK))  # keeps the rows read before an error
+        except csv.Error as exc:
+            block.append(exc)
+        if not block:
+            return
+        linenos = [line + j for j, row in enumerate(block, start=1) if row]
+        if isinstance(block[-1], csv.Error):
+            linenos[-1] = reader.line_num
+        line += len(block)
+        yield linenos, [row for row in block if row]
+
+
+def _read(chunks, cls: type, canonical, convert):
+    """One ``cls`` table of the chunks' rows; the earliest fault in file order raises.
+
+    ``chunks`` yields each chunk's line numbers and rows. ``canonical(rows)``
+    builds the columns of a canonical chunk in one go, or gives None; any
+    other chunk is converted row by row by ``convert``, whose
+    :class:`RecordError` (a row that does not decode or convert) is that
+    row's fault. The columns are then checked by ``cls._first_fault``, and
+    the ids of all rows by one set.
+    """
+    tables, ids, lines = [], [], []
+    for chunk_lines, rows in chunks:
+        try:
+            built = canonical(rows)
+        except (TypeError, ValueError, OverflowError):
+            built = None
+        fault = None
+        if built is None:
+            converted = []
+            for row in rows:
+                try:
+                    converted.append(convert(row))
+                except RecordError as exc:
+                    fault = len(converted), str(exc)
+                    break
+            built = cls._of_rows(converted)
+        table, given = built
+        fault = table._first_fault(*given) or fault  # a row before any unconverted one
+        if fault is not None:
+            row, message = fault
+            _unrepeated(ids + table.ids[:row], lines + chunk_lines[:row])
+            raise RecordError(f"line {chunk_lines[row]}: {message}")
+        tables.append(table)
+        ids += table.ids
+        lines += chunk_lines
+    _unrepeated(ids, lines)
+    return cls._stacked(tables)
+
+
+def _unrepeated(ids: list[str], lines: list[int]) -> None:
+    """Raise for the first id that repeats an earlier one, naming both lines."""
+    if len(set(ids)) < len(ids):
+        first: dict[str, int] = {}
+        for rid, line in zip(ids, lines):
+            if first.setdefault(rid, line) != line:
+                raise RecordError(f"line {line}: duplicate id {rid!r} (first on line {first[rid]})")
 
 
 # the scalar fields of a prediction record: JSON keys and leading CSV columns
 _FIELDS = ("id", "pred", "true", "conf", "tag")
+# raw tag values a record may carry, and whether each means out-of-distribution
+_TAG_IS_OOD = {None: False, "": False, "id": False, "ood": True}
+_LABEL_TYPES = {int, type(None)}
+_NUMBER_TYPES = {int, float, type(None)}
 
 
 def _integral(*labels) -> None:
@@ -509,7 +712,11 @@ def _record_id(rid) -> str:
     return str(rid)
 
 
-def _record_from_fields(rid, pred, true, conf, tag, probs) -> PredictionRecord:
+def _prediction_row(rid, pred, true, conf, tag, probs) -> tuple:
+    """One prediction record's raw fields converted, in :class:`PredictionRecord`'s order.
+
+    Absent fields are None; a missing ``pred`` is the first argmax of ``probs``.
+    """
     if rid is None:
         raise RecordError("missing 'id'")
     instance_id = _record_id(rid)
@@ -524,21 +731,14 @@ def _record_from_fields(rid, pred, true, conf, tag, probs) -> PredictionRecord:
         conf_f = float(conf) if conf is not None else None
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
-    return PredictionRecord(
-        instance_id=instance_id,
-        pred_label=pred_i,
-        probs=probs_t,
-        true_label=true_i,
-        confidence=conf_f,
-        dist_tag=_parse_tag(tag),
-    )
+    dist_tag = _parse_tag(tag)
+    _nonempty(instance_id, probs_t, "probability")
+    return instance_id, pred_i, probs_t, true_i, conf_f, dist_tag
 
 
-def _jsonl_record(obj: dict) -> PredictionRecord:
-    return _record_from_fields(*map(obj.get, _FIELDS), obj.get("probs"))
-
-
-def _csv_record(row: list[str], n_cells: int) -> PredictionRecord:
+def _csv_prediction(row: list[str] | csv.Error, n_cells: int) -> tuple:
+    if isinstance(row, csv.Error):
+        raise RecordError(f"malformed CSV ({row})")
     if len(row) != n_cells:
         raise RecordError(f"expected {n_cells} cells, got {len(row)}")
     cells = [cell if cell != "" else None for cell in row]
@@ -551,104 +751,43 @@ def _csv_record(row: list[str], n_cells: int) -> PredictionRecord:
             probs = [float(c) for c in prob_cells]
         except ValueError:
             raise RecordError("non-numeric probability cell") from None
-    return _record_from_fields(*cells[: len(_FIELDS)], probs)
+    return _prediction_row(*cells[: len(_FIELDS)], probs)
 
 
-def _csv_header(reader) -> list[str] | None:
-    """The CSV reader's header row, checked; None for empty text."""
-    header = next(reader, None)
-    if header is not None:
-        expected = list(_FIELDS) + [f"p{k}" for k in range(len(header) - len(_FIELDS))]
-        if header != expected:
-            raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
-    return header
-
-
-def _parse_csv(text: str) -> list[PredictionRecord]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = _csv_header(reader)
-        if header is None:
-            return []
-        rows = ((f"line {n}", row) for n, row in enumerate(reader, start=2) if row)
-        return _located(rows, lambda row: _csv_record(row, len(header)))
-    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-        raise RecordError(f"line {reader.line_num}: malformed CSV ({exc})") from None
-
-
-def _scalar_records(text: str, fmt: RecordFormat) -> list[PredictionRecord]:
-    """The reference reader: one :class:`PredictionRecord` per row, checked row by row."""
-    if fmt is RecordFormat.JSON_LINES:
-        return _located(_jsonl_objects(text), _jsonl_record)
-    return _parse_csv(text)
-
-
-# raw tag values a record may carry, and whether each means out-of-distribution
-_TAG_IS_OOD = {None: False, "": False, "id": False, "ood": True}
-_LABEL_TYPES = {int, type(None)}
-_NUMBER_TYPES = {int, float, type(None)}
-
-
-def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
-    """Per row of probabilities in [0, 1]: does its exact sum lie within tolerance of 1?
-
-    numpy's sum differs from the correctly rounded ``math.fsum`` of
-    :class:`PredictionRecord` by at most (K + 1) ulp of 1 on rows that sum
-    to at most 2; rows whose numpy sum lies that close to the tolerance's
-    edge are summed again with ``math.fsum``.
-    """
-    sums = probs.sum(axis=1)
-    slack = 2 * (probs.shape[1] + 1) * np.finfo(np.float64).eps
-    edge = np.flatnonzero(np.abs(np.abs(sums - 1.0) - PROB_SUM_TOLERANCE) <= slack)
-    sums[edge] = [math.fsum(row) for row in probs[edge].tolist()]
-    return np.abs(sums - 1.0) <= PROB_SUM_TOLERANCE
-
-
-def _valid_columns(table: RecordTable) -> bool:
-    """Does every row meet every :class:`PredictionRecord` invariant?
-
-    False for ragged (NaN-padded) probability rows, which only their records can check.
-    """
-    conf, probs = table.conf, table.probs
-    bad = ((table.true < 0) & ~table.ood) | ~(np.isnan(conf) | ((conf >= 0.0) & (conf <= 1.0)))
-    if probs is None:
-        bad |= table.pred < 0
-    else:
-        if probs.shape[1] == 0 or not ((probs >= 0.0) & (probs <= 1.0)).all():
-            return False
-        bad |= ((table.pred != probs.argmax(axis=1))  # the first maximum, as first_argmax
-                | (table.true >= probs.shape[1]) | ~_sums_within_tolerance(probs))
-    return not bad.any()
-
-
-def _checked_rows(ids, pred, true, conf, tag, probs) -> RecordTable | None:
-    """A chunk as a table when every row meets every :class:`PredictionRecord` invariant.
+def _prediction_columns(ids, pred, true, conf, tags, probs, given=None) -> tuple | None:
+    """Columns of prediction records as a :class:`RecordTable`, and what its check needs.
 
     ``ids`` are strings; ``pred``, ``true`` and ``conf`` Python numbers or
-    None, where a None ``pred`` is the argmax of ``probs``; ``tag`` raw tag
-    values; ``probs`` an (n, K) array or None. None when any row fails a
-    check: the scalar path then names the fault.
+    None, where a None ``pred`` is the argmax of ``probs``; ``tags`` raw tag
+    values or :class:`DistTag`; ``probs`` an (n, K) array or None, and
+    ``given`` its given cells, by default all. Returns the table and
+    ``(given, true_given, conf_given)``, since the table alone cannot tell a
+    given NaN probability, negative true label or NaN confidence from an
+    absent one; None when a tag is unknown, ``probs`` has no column, or a
+    row lacks both ``pred`` and ``probs``.
     """
-    if not set(tag) <= _TAG_IS_OOD.keys() or (probs is not None and probs.shape[1] == 0):
+    if not set(tags) <= _TAG_IS_OOD.keys() or (probs is not None and probs.shape[1] == 0):
         return None
-    true_given = np.array([t is not None for t in true], dtype=bool)
-    true = np.array([-1 if t is None else t for t in true], dtype=np.int64)
-    conf_given = np.array([c is not None for c in conf], dtype=bool)
-    conf = np.array(conf, dtype=np.float64)  # None reads as NaN
-    # a table reads a negative label and a NaN confidence as absent
-    if (true_given & (true < 0)).any() or (conf_given & np.isnan(conf)).any():
-        return None
-    if probs is not None:
+    if None in pred:
+        if probs is None:
+            return None
         pred = [t if p is None else p for p, t in zip(pred, probs.argmax(axis=1).tolist())]
-    elif None in pred:
-        return None
-    table = RecordTable(ids=ids, pred=np.array(pred, dtype=np.int64), true=true, conf=conf,
-                        ood=np.array([_TAG_IS_OOD[t] for t in tag], dtype=bool), probs=probs)
-    return table if _valid_columns(table) else None
+    table = RecordTable(
+        ids=ids,
+        pred=_labels(pred),
+        true=_labels([-1 if t is None else t for t in true]),
+        conf=np.array(conf, dtype=np.float64),  # None reads as NaN
+        ood=np.array([_TAG_IS_OOD[t] for t in tags], dtype=bool),
+        probs=probs,
+    )
+    if given is None:
+        given = np.ones((len(ids), 0 if probs is None else probs.shape[1]), dtype=bool)
+    return table, (given, np.array([t is not None for t in true], dtype=bool),
+                   np.array([c is not None for c in conf], dtype=bool))
 
 
-def _jsonl_rows(objects: list[dict]) -> RecordTable | None:
-    """A chunk of JSON Lines objects as a table, if each has the canonical shape and is valid."""
+def _jsonl_columns(objects: list[dict]) -> tuple | None:
+    """A chunk of JSON Lines objects as columns, if each has the canonical shape."""
     ids, pred, true, conf, tag, probs = ([obj.get(key) for obj in objects]
                                          for key in (*_FIELDS, "probs"))
     if not (set(map(type, ids)) == {str} and set(map(type, pred)) <= _LABEL_TYPES
@@ -661,11 +800,16 @@ def _jsonl_rows(objects: list[dict]) -> RecordTable | None:
         block = np.array(probs, dtype=np.float64)  # ValueError when ragged
     else:
         return None
-    return _checked_rows(ids, pred, true, conf, tag, block)
+    return _prediction_columns(ids, pred, true, conf, tag, block)
 
 
-def _csv_rows(rows: list[list[str]], n_cells: int) -> RecordTable | None:
-    """A chunk of CSV rows as a table, if every row is complete and valid."""
+def _jsonl_prediction(row) -> tuple:
+    obj = _json_object(row)
+    return _prediction_row(*map(obj.get, _FIELDS), obj.get("probs"))
+
+
+def _csv_columns(rows: list[list[str]], n_cells: int) -> tuple | None:
+    """A chunk of CSV rows as columns, if every row is complete and canonical."""
     if set(map(len, rows)) != {n_cells}:
         return None
     ids, pred, true, conf, tag, *prob_columns = zip(*rows)
@@ -673,9 +817,9 @@ def _csv_rows(rows: list[list[str]], n_cells: int) -> RecordTable | None:
         return None
     block = None
     if prob_columns and not all(set(column) == {""} for column in prob_columns):
-        # float() per cell, as the scalar path; an empty cell raises ValueError
+        # float() per cell, as the row converter; an empty cell raises ValueError
         block = np.array([row[len(_FIELDS) :] for row in rows], dtype=np.float64)
-    return _checked_rows(
+    return _prediction_columns(
         list(ids),
         [int(c) if c else None for c in pred],
         [int(c) if c else None for c in true],
@@ -685,48 +829,14 @@ def _csv_rows(rows: list[list[str]], n_cells: int) -> RecordTable | None:
     )
 
 
-def _csv_chunks(reader) -> Iterator[list[list[str]]]:
-    """The CSV reader's non-blank rows, in runs read ``_PARSE_CHUNK`` rows at a time."""
-    while block := list(islice(reader, _PARSE_CHUNK)):
-        if rows := [row for row in block if row]:
-            yield rows
-
-
-def _concatenated(tables: list, cls: type):
-    """One ``cls`` table of the chunks' tables.
-
-    None if a chunk failed its checks (its table is None), or the chunks
-    differ in class count or repeat an id.
-    """
-    if any(t is None for t in tables):
-        return None
-    widths = {None if t.probs is None else t.probs.shape[1] for t in tables}
-    ids = list(chain.from_iterable(t.ids for t in tables))
-    if len(widths) > 1 or len(set(ids)) < len(ids):
-        return None
-    if not tables:
-        return cls.from_records([])
-    columns = {
-        f.name: None if getattr(tables[0], f.name) is None
-        else np.concatenate([getattr(t, f.name) for t in tables])
-        for f in fields(cls) if f.name != "ids"
-    }
-    return cls(ids=ids, **columns)
-
-
-def _column_table(text: str, fmt: RecordFormat) -> RecordTable | None:
-    """The records as columns, read chunk by chunk; None unless every row is canonical and valid."""
-    try:
-        if fmt is RecordFormat.JSON_LINES:
-            tables = [_jsonl_rows(list(objects)) for _, objects in _jsonl_chunks(text)]
-        else:
-            reader = csv.reader(io.StringIO(text))
-            header = _csv_header(reader)
-            chunks = _csv_chunks(reader) if header else ()
-            tables = [_csv_rows(rows, len(header)) for rows in chunks]
-    except (TypeError, ValueError, OverflowError, csv.Error):  # RecordError included
-        return None
-    return _concatenated(tables, RecordTable)
+def _csv_header(reader) -> list[str] | None:
+    """The CSV reader's header row, checked; None for empty text."""
+    header = next(reader, None)
+    if header is not None:
+        expected = list(_FIELDS) + [f"p{k}" for k in range(len(header) - len(_FIELDS))]
+        if header != expected:
+            raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
+    return header
 
 
 def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> RecordTable:
@@ -738,13 +848,21 @@ def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> Record
     if fmt is not RecordFormat.JSON_LINES and fmt is not RecordFormat.CSV:
         raise ValueError(f"unknown record format: {fmt!r}")
     text = _as_text(stream)
-    table = _column_table(text, fmt)
-    if table is None:
-        table = RecordTable.from_records(_scalar_records(text, fmt))
-    return table
+    if fmt is RecordFormat.JSON_LINES:
+        return _read(_jsonl_chunks(text), RecordTable, _decoded(_jsonl_columns), _jsonl_prediction)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = _csv_header(reader)
+    except csv.Error as exc:
+        raise RecordError(f"line {reader.line_num}: malformed CSV ({exc})") from None
+    n_cells = len(header or ())
+    return _read(_csv_chunks(reader) if header else (), RecordTable,
+                 partial(_csv_columns, n_cells=n_cells), partial(_csv_prediction, n_cells=n_cells))
 
 
-def _multilabel_record(obj: dict) -> MultiLabelRecord:
+def _multilabel_row(row) -> tuple:
+    """One multi-label row decoded and converted, in :class:`MultiLabelRecord`'s field order."""
+    obj = _json_object(row)
     if obj.get("id") is None or obj.get("probs") is None or obj.get("truths") is None:
         raise RecordError("need 'id', 'probs' and 'truths'")
     instance_id = _record_id(obj["id"])
@@ -755,21 +873,14 @@ def _multilabel_record(obj: dict) -> MultiLabelRecord:
         raise RecordError("non-numeric field value") from None
     _integral(*obj["truths"])
     _no_booleans(obj["probs"], obj["truths"])
-    return MultiLabelRecord(
-        instance_id=instance_id,
-        per_class_probs=probs,
-        true_labels=truths,
-        dist_tag=_parse_tag(obj.get("tag")),
-    )
+    return instance_id, probs, truths, _parse_tag(obj.get("tag"))
 
 
-def _multilabel_rows(objects: list[dict]) -> MultiLabelTable | None:
-    """A chunk of multi-label objects as a table, if each has the canonical shape and is valid.
+def _multilabel_columns(objects: list[dict]) -> tuple | None:
+    """A chunk of multi-label objects as columns, if each has the canonical shape.
 
-    Canonical: a string id, a list of numbers as ``probs``, a list of integers
-    as ``truths`` and a known tag. Valid: every row has as many truths as
-    probabilities, and the chunk's class count; probabilities lie in [0, 1];
-    truths are 0 or 1.
+    Canonical: a string id, a list of numbers as ``probs``, a list of
+    integers as ``truths``, each list as long on every row, and a known tag.
     """
     ids, probs, truths, tags = ([obj.get(key) for obj in objects]
                                 for key in ("id", "probs", "truths", "tag"))
@@ -780,36 +891,67 @@ def _multilabel_rows(objects: list[dict]) -> MultiLabelTable | None:
         return None
     probs = np.array(probs, dtype=np.float64)  # ValueError when ragged
     truths = np.array(truths, dtype=np.int64)  # OverflowError past 64 bits
-    if (probs.shape != truths.shape or not ((probs >= 0.0) & (probs <= 1.0)).all()
-            or not ((truths == 0) | (truths == 1)).all()):
-        return None
     ood = np.array([_TAG_IS_OOD[t] for t in tags], dtype=bool)
-    return MultiLabelTable(ids=ids, probs=probs, truths=truths, ood=ood)
-
-
-def _multilabel_table(text: str) -> MultiLabelTable | None:
-    """Multi-label records as columns, read chunk by chunk; None unless every row is canonical."""
-    try:
-        tables = [_multilabel_rows(list(objects)) for _, objects in _jsonl_chunks(text)]
-    except (TypeError, ValueError, OverflowError):  # RecordError included
-        return None
-    return _concatenated(tables, MultiLabelTable)
+    table = MultiLabelTable(ids=ids, probs=probs, truths=truths, ood=ood)
+    return table, (np.ones(probs.shape, dtype=bool), np.ones(truths.shape, dtype=bool))
 
 
 def parse_multilabel_records(stream) -> MultiLabelTable:
     """Parse multi-label records from JSON Lines, preserving order.
 
     One object per line: ``{"id": str, "probs": [...], "truths": [0/1, ...],
-    "tag": "id"|"ood"}``. Files whose rows are all canonical and valid
-    (:func:`_multilabel_rows`) are read chunk by chunk into columns; any
-    other file is read one :class:`MultiLabelRecord` per line, which raises
-    the line-numbered :class:`RecordError` for the first faulty line.
+    "tag": "id"|"ood"}``. Raises :class:`RecordError` naming the first
+    offending line.
     """
-    text = _as_text(stream)
-    table = _multilabel_table(text)
-    if table is None:
-        table = MultiLabelTable.from_records(_located(_jsonl_objects(text), _multilabel_record))
-    return table
+    return _read(_jsonl_chunks(_as_text(stream)), MultiLabelTable,
+                 _decoded(_multilabel_columns), _multilabel_row)
+
+
+def _feature_row(row) -> tuple:
+    """One feature row decoded and converted, in :class:`FeatureRecord`'s field order."""
+    obj = _json_object(row)
+    if any(obj.get(key) is None for key in ("id", "features", "true")):
+        raise RecordError("need 'id', 'features' and 'true' (the class label)")
+    rid = _record_id(obj["id"])
+    _integral(obj["true"])
+    _no_booleans(obj["features"], obj["true"])
+    try:
+        features = tuple(float(v) for v in obj["features"])
+        true_label = int(obj["true"])
+    except (TypeError, ValueError, OverflowError):
+        raise RecordError("non-numeric field value") from None
+    _nonempty(rid, features, "feature")
+    if not _LABEL_MIN <= true_label <= _LABEL_MAX:
+        raise RecordError(f"record {rid!r}: label {true_label} does not fit in 64 bits")
+    return rid, features, true_label
+
+
+def _feature_columns(objects: list[dict]) -> tuple | None:
+    """A chunk of feature objects as columns, if each has the canonical shape.
+
+    Canonical: a string id, a non-empty list of numbers as long on every
+    row, and an integer label.
+    """
+    ids, features, true = ([obj.get(key) for obj in objects] for key in ("id", "features", "true"))
+    if not (set(map(type, ids)) == {str} and set(map(type, features)) == {list}
+            and set(map(type, true)) == {int}
+            and set(map(type, chain.from_iterable(features))) <= {int, float}):
+        return None
+    block = np.array(features, dtype=np.float64)  # ValueError when ragged
+    if block.shape[1] == 0:
+        return None
+    table = FeatureTable(ids=ids, features=block, true=np.array(true, dtype=np.int64))
+    return table, (np.ones(block.shape, dtype=bool),)
+
+
+def parse_feature_records(stream) -> FeatureTable:
+    """Parse a feature file; raises :class:`RecordError` naming the offending line.
+
+    One object per line: ``{"id": str, "features": [...], "true": int}``,
+    every feature finite.
+    """
+    return _read(_jsonl_chunks(_as_text(stream)), FeatureTable, _decoded(_feature_columns),
+                 _feature_row)
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +997,7 @@ def _written_table(records: Iterable[PredictionRecord]) -> RecordTable:
     """The records as one table; a given table is checked as parsing checks it."""
     if not isinstance(records, RecordTable):
         return RecordTable.from_records(list(records))
-    if not _valid_columns(records):
-        list(records)  # builds each record, so the first faulty one raises its RecordError
+    _checked((records, ()))
     return records
 
 

@@ -10,8 +10,9 @@ use fixed textbook algorithms:
   keyed by one core word, in numpy uint64, which wraps modulo 2**64
 - uniform doubles: 53 high bits of a word divided by 2**53, singly or per block
 - normals: Box-Muller transform (pair-cached)
-- gamma: Marsaglia-Tsang squeeze method, with the standard shape<1 boost
-- beta: ratio of two gamma draws
+- gamma: Marsaglia-Tsang squeeze method, with the standard shape<1 boost,
+  kept with its log
+- beta: ratio of two gamma draws, from their logs when both underflow
 - integers below a bound: rejection on the high bits (unbiased)
 - permutations: stable argsort of one block
 """
@@ -88,16 +89,18 @@ class PortableRng:
             self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
         return mean + std * z
 
-    def gamma(self, shape: float) -> float:
-        """Gamma(shape, 1) via Marsaglia-Tsang."""
-        if shape <= 0.0:
-            raise ValueError("gamma shape must be positive")
+    def _gamma_and_log(self, shape: float) -> tuple[float, float]:
+        """A Gamma(shape > 0, 1) draw via Marsaglia-Tsang, and its log.
+
+        The log stays finite where a tiny shape's draw underflows to 0.
+        """
         if shape < 1.0:
             # boost: Gamma(a) = Gamma(a+1) * U^(1/a)
             u = self.random()
             while u <= 0.0:
                 u = self.random()
-            return self.gamma(shape + 1.0) * u ** (1.0 / shape)
+            g, log_g = self._gamma_and_log(shape + 1.0)
+            return g * u ** (1.0 / shape), log_g + math.log(u) / shape
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         while True:
@@ -108,15 +111,18 @@ class PortableRng:
             v = v * v * v
             u = self.random()
             if u < 1.0 - 0.0331 * x * x * x * x:
-                return d * v
+                return d * v, math.log(d * v)
             if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-                return d * v
+                return d * v, math.log(d * v)
 
     def beta(self, alpha: float, beta_param: float) -> float:
         if alpha <= 0.0 or beta_param <= 0.0:
             raise ValueError("beta parameters must be positive")
-        x = self.gamma(alpha)
-        y = self.gamma(beta_param)
+        x, log_x = self._gamma_and_log(alpha)
+        y, log_y = self._gamma_and_log(beta_param)
+        if x + y == 0.0:  # both draws underflowed: x / (x + y) = 1 / (1 + exp(log y - log x))
+            e = math.exp(-abs(log_y - log_x))
+            return 1.0 / (1.0 + e) if log_x >= log_y else e / (1.0 + e)
         return x / (x + y)
 
     def u64_block(self, n: int) -> np.ndarray:

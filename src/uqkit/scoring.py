@@ -1,4 +1,4 @@
-"""Max-softmax confidence extraction and classical scoring rules.
+"""Classical scoring rules for confidence scores.
 
 Cross entropy and the Brier score grade confidence values directly, so
 they move when all confidences shift by a constant even though the
@@ -11,7 +11,6 @@ the confidence distillation loss of :mod:`uqkit.distill`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +24,6 @@ class ScoreReport:
     cross_entropy: float
     brier: float
     n: int
-
-
-def max_softmax_confidence(probs: Sequence[float]) -> float:
-    """Largest class probability, the standard single-model confidence score."""
-    if len(probs) == 0:
-        raise ValueError("empty probability vector")
-    return float(max(probs))
 
 
 def _clamped_log_loss(s, t) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ whose last bits may depend on the CPU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +139,11 @@ class SynthUdistConfig:
             raise ValueError("need at least two classes")
         if self.ensemble_size < 1:
             raise ValueError("need at least one ensemble member")
-        if self.noise_scale < 0 or self.error_signal_strength < 0:
-            raise ValueError("noise_scale and error_signal_strength must be non-negative")
+        for name, flag in (("noise_scale", "--noise-scale"),
+                           ("error_signal_strength", "--signal-strength")):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} ({flag}) must be finite and non-negative, got {value}")
 
 
 DEFAULT_UDIST_CONFIG = SynthUdistConfig()

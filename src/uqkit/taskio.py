@@ -3,7 +3,9 @@
 Two file kinds flow through the distillation pipeline:
 
 - feature files (JSON Lines): ``{"id": str, "features": [...], "true": int}``,
-  one labeled feature vector per instance;
+  one labeled feature vector per instance, read into a
+  :class:`~uqkit.records.FeatureTable` by
+  :func:`~uqkit.records.parse_feature_records` and written here;
 - member files: standard prediction-record JSON Lines, one file per
   ensemble member, aligned with the feature file by instance id.
 """
@@ -11,9 +13,7 @@ Two file kinds flow through the distillation pipeline:
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,54 +21,17 @@ import numpy as np
 
 from .records import (
     DistTag,
+    FeatureRecord,
     PredictionRecord,
     RecordError,
     RecordFormat,
     RecordTable,
     _array_parts,
     _as_table,
-    _integral,
     _interleaved,
-    _jsonl_objects,
-    _located,
-    _no_booleans,
     _padded,
-    _record_id,
     parse_records,
 )
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    instance_id: str
-    features: tuple[float, ...]
-    true_label: int
-
-    def __post_init__(self) -> None:
-        if len(self.features) == 0:
-            raise RecordError(f"record {self.instance_id!r}: empty feature vector")
-
-
-def _feature_record(obj: dict) -> FeatureRecord:
-    if any(obj.get(key) is None for key in ("id", "features", "true")):
-        raise RecordError("need 'id', 'features' and 'true' (the class label)")
-    rid = _record_id(obj["id"])
-    _integral(obj["true"])
-    _no_booleans(obj["features"], obj["true"])
-    try:
-        features = tuple(float(v) for v in obj["features"])
-        true_label = int(obj["true"])
-    except (TypeError, ValueError, OverflowError):
-        raise RecordError("non-numeric field value") from None
-    bad = next((v for v in features if not math.isfinite(v)), None)
-    if bad is not None:  # NaN, Infinity, or a literal such as 1e999 that overflows
-        raise RecordError(f"record {rid!r}: feature {bad} is not finite")
-    return FeatureRecord(instance_id=rid, features=features, true_label=true_label)
-
-
-def parse_feature_records(stream) -> list[FeatureRecord]:
-    """Parse a feature file; raises :class:`RecordError` naming the offending line."""
-    return _located(_jsonl_objects(stream), _feature_record)
 
 
 def write_feature_records(records: Sequence[FeatureRecord]) -> str:

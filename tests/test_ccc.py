@@ -12,7 +12,6 @@ from uqkit.ccc import (
     auccc_rank,
     auccc_trapezoid,
     ccc_curve,
-    confusion_at_threshold,
     curve_to_csv,
     evaluate,
 )
@@ -43,27 +42,6 @@ def outcome_sets(draw, max_size=300):
     correct = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     correct[0], correct[1] = True, False  # both classes present
     return OutcomeSet(correct, conf)
-
-
-class TestConfusionAtThreshold:
-    def test_middle_threshold(self):
-        two = OutcomeSet([True, False], [0.9, 0.3])
-        m = confusion_at_threshold(two, 0.5)
-        assert (m.c_acc, m.c_rej, m.i_acc, m.i_rej) == (1, 1, 0, 0)
-
-    def test_zero_threshold_accepts_everything(self):
-        two = OutcomeSet([True, False], [0.9, 0.3])
-        m = confusion_at_threshold(two, 0.0)
-        assert (m.c_acc, m.i_acc, m.c_rej, m.i_rej) == (1, 1, 0, 0)
-
-    def test_threshold_one_only_accepts_full_confidence(self):
-        two = OutcomeSet([True, False], [0.9, 0.3])
-        m = confusion_at_threshold(two, 1.0)
-        assert (m.c_rej, m.i_rej, m.c_acc, m.i_acc) == (1, 1, 0, 0)
-
-    def test_counts_sum_to_total(self):
-        m = confusion_at_threshold(FOUR, 0.75)
-        assert m.total == len(FOUR)
 
 
 class TestCccCurve:

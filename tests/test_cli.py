@@ -306,6 +306,23 @@ class TestSynthCli:
         assert "test.features.jsonl" in names
         assert sum(1 for n in names if "member" in n) == 8
 
+    @pytest.mark.parametrize("flag, value", [("--noise-scale", "nan"),
+                                             ("--signal-strength", "inf")])
+    def test_udist_nonfinite_config_writes_no_file(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "task"
+        code, _, err = run(capsys, "synth", "udist", "--out-dir", str(out_dir), "--n-train", "20",
+                           "--n-test", "10", flag, value)
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+        assert flag in err and "record" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_outcomes_beta_with_tiny_shapes(self, tmp_path, capsys):
+        path = tmp_path / "tiny.jsonl"
+        code, _, err = run(capsys, "synth", "outcomes", "--n-correct", "3", "--n-incorrect", "3",
+                           "--correct-dist", "beta:0.001,0.001", "--out", str(path))
+        assert code == 0, err
+        assert len(parse_records(path.read_bytes())) == 6
+
     def test_member_files_parse_as_records(self, task_dir):
         records = parse_records((task_dir / "train.member0.jsonl").read_bytes())
         assert len(records) == 300
@@ -550,6 +567,19 @@ class TestDistillInputErrors:
         )
         self.assert_one_error_line(code, err, "temperature must be positive")
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("temperature", ["inf", "1e-320"], ids=["infinite", "overflowing"])
+    @pytest.mark.parametrize("command, flag", [("ensemble", "--temperature"),
+                                               ("predict", "--temperature"),
+                                               ("train", "--temperature-train")])
+    def test_temperature_infinite_or_overflowing(self, two_class_task, tmp_path, capsys, command,
+                                                 flag, temperature):
+        feats, member = two_class_task(1)
+        out_path = tmp_path / "out"
+        code, _, err = run(capsys, *self.argv(command, feats, [member], tmp_path),
+                           flag, temperature, "--out", str(out_path))
+        self.assert_one_error_line(code, err, "temperature must be positive")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_train_nonfinite_learning_rate(self, two_class_task, tmp_path, capsys, lr):

@@ -35,7 +35,8 @@ from uqkit.records import (
     write_records_jsonl,
 )
 from uqkit.scoring import score_outcomes
-from uqkit.taskio import FeatureRecord, write_feature_records
+from uqkit.records import FeatureRecord
+from uqkit.taskio import write_feature_records
 
 # confidences whose repr takes an exponent, a sign or the most digits
 SPECIAL = [0.0, -0.0, 1.0, 1e-05, 5e-324, 2.5e-08, 0.5, 1 / 3, 0.1, 0.9999999999999999]

@@ -100,6 +100,13 @@ class TestTemperatureScale:
             with pytest.raises(ValueError, match="temperature must be positive"):
                 temperature_scale([0.5, 0.5], temperature)
 
+    def test_infinite_or_overflowing_temperature_rejected(self):
+        # log(1e-12) / T is -0.0 at T = inf and overflows below about 1e-307
+        for temperature in (float("inf"), 1e-320, 5e-324):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                temperature_scale([0.5, 0.5], temperature)
+        assert np.all(np.isfinite(temperature_scale([1.0, 0.0], 1e-300)))
+
     def test_handles_exact_zero_probability(self):
         out = temperature_scale([1.0, 0.0], 2.0)
         assert np.all(np.isfinite(out))

@@ -1,20 +1,23 @@
-"""The columnar record reader against the scalar reference reader.
+"""The columnar record reader against the reference reader of ``tests/oracles.py``.
 
-``parse_records`` reads files whose rows all have the canonical shape into
-numpy columns and checks every record invariant on whole columns; any
-other file, or one with a faulty row, goes through the scalar path that
-builds one ``PredictionRecord`` per row. Both must give the same records,
-or the same error message, on every file.
+``parse_records`` turns each chunk of rows into numpy columns, in one go
+when every row of the chunk has the canonical shape and row by row
+otherwise, and checks every record invariant on whole columns. The
+reference reader builds one record per row and checks it with scalar
+code. Both must give the same records, or the same error message, on
+every file.
 """
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from uqkit import records
 from uqkit.records import (
     ConfidenceSource,
@@ -145,6 +148,11 @@ def outcome(read):
         return f"RecordError: {exc}"
 
 
+def rows_of(recs) -> list[tuple]:
+    """Each record's fields in order: uqkit's records and the reference reader's compare so."""
+    return [astuple(rec) for rec in recs]
+
+
 def reference_outcomes(recs: list[PredictionRecord], source: ConfidenceSource):
     """Per-record (correct, confidence), as a loop over records defines them."""
     correct = [rec.dist_tag is DistTag.IN_DISTRIBUTION and rec.pred_label == rec.true_label
@@ -171,15 +179,16 @@ def assert_same_outcomes(table: RecordTable, recs: list[PredictionRecord]) -> No
 
 
 def check_file(data: bytes, fmt: RecordFormat, canonical: bool) -> None:
-    got = outcome(lambda: parse_records(data, fmt))
-    want = outcome(lambda: records._scalar_records(data.decode(), fmt))
+    with oracles.counting(records, "_prediction_row") as converted:
+        got = outcome(lambda: parse_records(data, fmt))
+    want = outcome(lambda: oracles.scalar_records(data.decode(), fmt.value))
     if isinstance(want, str):
         assert got == want
         return
     assert isinstance(got, RecordTable)
-    assert got == want and list(got) == want and len(got) == len(want)
+    assert rows_of(got) == rows_of(want) and len(got) == len(want)
     if canonical:
-        assert records._column_table(data.decode(), fmt) is not None
+        assert not converted  # every chunk was built in one go
     assert_same_outcomes(got, want)
 
 
@@ -218,7 +227,7 @@ def test_fault_on_a_chunks_last_line(monkeypatch, chunk, fault):
     lines.insert(1, "")  # a blank line does not count toward a chunk
     # the fault is the last non-blank line of the second chunk, on line 2 * chunk + 1
     text = "\n".join(lines[: 2 * chunk] + [LINE_FAULTS[fault]] + lines[2 * chunk :])
-    want = outcome(lambda: records._scalar_records(text, RecordFormat.JSON_LINES))
+    want = outcome(lambda: oracles.scalar_records(text))
     assert want.startswith(f"RecordError: line {2 * chunk + 1}: ")
     assert outcome(lambda: parse_records(text)) == want
     monkeypatch.setattr(records, "_PARSE_CHUNK", chunk)
@@ -235,8 +244,8 @@ def test_probability_sums_at_the_tolerance_edge():
     assert (by_numpy_sum != by_fsum).any()  # rows where a plain numpy sum would decide wrongly
     for row in rows:
         line = json.dumps({"id": "a", "probs": row, "true": 0, "conf": 0.5})
-        want = outcome(lambda: records._scalar_records(line, RecordFormat.JSON_LINES))
-        assert outcome(lambda: parse_records(line)) == want
+        want = outcome(lambda: rows_of(oracles.scalar_records(line)))
+        assert outcome(lambda: rows_of(parse_records(line))) == want
 
 
 @pytest.mark.parametrize(
@@ -252,15 +261,18 @@ def test_probability_sums_at_the_tolerance_edge():
 )
 def test_lines_that_only_parse_joined_are_malformed(lines):
     assert records._joined_objects(lines) is None
-    with pytest.raises(RecordError, match="line 1: malformed JSON"):
-        list(records._jsonl_objects("\n".join(lines)))
+    text = "\n".join(lines)
+    want = outcome(lambda: list(oracles.jsonl_objects(text)))
+    assert want.startswith("RecordError: line 1: malformed JSON")
+    assert outcome(lambda: parse_records(text)) == want
 
 
 def test_table_reads_as_a_record_sequence():
     text = ('{"id":"a","probs":[0.6,0.4],"pred":0,"true":1,"conf":0.7}\n'
             '{"id":"b","probs":[0.2,0.8],"true":1,"tag":"ood"}\n')
-    table = parse_records(text)
-    assert records._column_table(text, RecordFormat.JSON_LINES) is not None
+    with oracles.counting(records, "_prediction_row") as converted:
+        table = parse_records(text)
+    assert not converted
     first = PredictionRecord("a", 0, (0.6, 0.4), 1, 0.7)
     second = PredictionRecord("b", 1, (0.2, 0.8), 1, None, DistTag.OUT_OF_DISTRIBUTION)
     assert len(table) == 2
@@ -272,6 +284,12 @@ def test_table_reads_as_a_record_sequence():
     assert table.take(~table.ood) == [first]
     assert table.take(np.array([1, 0])) == [second, first]
     assert table.true.tolist() == [1, 1] and np.isnan(table.conf[1])
+
+
+def test_record_with_an_unknown_tag_is_rejected():
+    with pytest.raises(RecordError, match="^unknown tag 'weird'"):
+        PredictionRecord("a", 0, true_label=0, dist_tag="weird")
+    assert PredictionRecord("b", 0, confidence=0.5, dist_tag="ood").true_label is None
 
 
 def test_ragged_and_mixed_rows_keep_their_probabilities():
@@ -296,4 +314,88 @@ def test_ragged_and_mixed_rows_keep_their_probabilities():
 )
 def test_negative_pred_without_probabilities(data, fmt, message):
     assert outcome(lambda: parse_records(data, fmt)) == f"RecordError: {message}"
-    assert records._column_table(data, fmt) is None
+    assert outcome(lambda: oracles.scalar_records(data, fmt.value)) == f"RecordError: {message}"
+
+
+def test_a_float_label_converts_its_own_chunk_only(monkeypatch):
+    monkeypatch.setattr(records, "_PARSE_CHUNK", 7)
+    rows = [{"id": f"r{i}", "pred": i % 3, "true": i % 3, "conf": 0.5} for i in range(70)]
+    rows[17]["true"] = 2.0  # chunk 3 of 10 holds rows 14 to 20
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    with oracles.counting(records, "_prediction_row") as converted:
+        table = parse_records(text)
+    assert [args[0] for args in converted] == [f"r{i}" for i in range(14, 21)]
+    assert rows_of(table) == rows_of(oracles.scalar_records(text))
+
+
+# faults that only ``faulty_rows`` splices in: labels past 64 bits, a negative true label, a repeat
+EXTRA_FAULTS = {
+    "huge-true": lambda row, k: {"true": 2**70},
+    "huge-negative-pred": lambda row, k: {"pred": -(2**70), "probs": None},
+    "negative-true": lambda row, k: {"true": -3},
+    "repeated-id": lambda row, k: {"id": "r0"},
+}
+
+
+@st.composite
+def faulty_rows(draw):
+    """Three rows, the last with two to four faults at once, so their ranking shows."""
+    k = draw(st.integers(2, 4))
+    with_probs = draw(st.booleans())
+    rows = []
+    for i in range(3):
+        row = {"id": f"r{i}", "true": draw(st.integers(0, k - 1)), "conf": draw(st.floats(0, 1))}
+        if with_probs:
+            row["probs"] = draw(prob_rows(k))
+            row["pred"] = int(np.argmax(row["probs"]))
+        else:
+            row["pred"] = draw(st.integers(0, k - 1))
+        rows.append(row)
+    faults = {**FAULTS, **EXTRA_FAULTS}
+    for name in draw(st.lists(st.sampled_from(sorted(faults)), min_size=2, max_size=4,
+                              unique=True)):
+        rows[2].update(faults[name](rows[2], k))
+        rows[2] = {key: value for key, value in rows[2].items() if value is not None}
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=faulty_rows(), chunk=st.sampled_from([1, 2, 7]))
+def test_faults_on_one_row_rank_as_the_reference_ranks_them(rows, chunk):
+    saved = records._PARSE_CHUNK
+    records._PARSE_CHUNK = chunk
+    try:
+        for data, fmt in ((as_jsonl(rows), RecordFormat.JSON_LINES), (as_csv(rows), RecordFormat.CSV)):
+            if data is not None:
+                want = outcome(lambda: rows_of(oracles.scalar_records(data.decode(), fmt.value)))
+                assert outcome(lambda: rows_of(parse_records(data, fmt))) == want
+    finally:
+        records._PARSE_CHUNK = saved
+
+
+# rows that break two neighbouring rules at once, and the message of the one ranked first
+TWO_FAULTS = {
+    "range-sum": ({"probs": [1.5, 0.2], "pred": 0, "true": 0}, "probability 1.5 out of range"),
+    "sum-argmax": ({"probs": [0.2, 0.9], "pred": 0, "true": 0},
+                   "probability sum 1.1 exceeds tolerance"),
+    "argmax-true": ({"probs": [0.3, 0.7], "pred": 0, "true": 5},
+                    "pred 0 is not the argmax of probs (expected 1)"),
+    "true-fit": ({"pred": 2**70, "true": -1}, "true label -1 out of range"),
+    "fit-pred-true": ({"pred": 2**70, "true": 2**71}, f"label {2**70} does not fit in 64 bits"),
+    "fit-true-pred": ({"pred": -1, "true": 2**70}, f"label {2**70} does not fit in 64 bits"),
+    "pred-conf": ({"pred": -1, "true": 0, "conf": 2.0}, "pred -1 out of range"),
+    "conf-true": ({"pred": 0, "conf": 2.0}, "confidence out of range"),
+    "true-repeat": ({"id": "a", "pred": 0}, "in-distribution record lacks a true label"),
+    "tag-conf": ({"pred": 0, "true": 0, "conf": 2.0, "tag": "x"}, "unknown tag 'x'"),
+    "empty-conf": ({"probs": [], "pred": 0, "true": 0, "conf": 2.0}, "empty probability vector"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_two_faults_on_one_row(name):
+    row, message = TWO_FAULTS[name]
+    text = '{"id":"a","pred":0,"true":0}\n' + json.dumps({"id": "b", **row}) + "\n"
+    want = outcome(lambda: oracles.scalar_records(text))
+    assert want.startswith("RecordError: line 2: ") and message in want
+    assert outcome(lambda: parse_records(text)) == want

@@ -19,7 +19,7 @@ from uqkit.records import (
     write_records_csv,
     write_records_jsonl,
 )
-from uqkit.taskio import parse_feature_records
+from uqkit.records import parse_feature_records
 
 
 def rec(rid="r", pred=0, probs=None, true=0, conf=None, tag=DistTag.IN_DISTRIBUTION):

@@ -1,11 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from uqkit.ccc import auccc_rank
-from uqkit.records import OutcomeSet
-from uqkit.scoring import brier_score, cross_entropy, max_softmax_confidence, score_outcomes
+from uqkit.records import ConfidenceSource, OutcomeSet, derive_outcomes, parse_records
+from uqkit.scoring import brier_score, cross_entropy, score_outcomes
+
+
+def max_softmax(probs):
+    """The max-softmax confidence that ``eval --confidence-source max-softmax`` reads."""
+    line = json.dumps({"id": "a", "probs": probs, "true": 0})
+    return derive_outcomes(parse_records(line), ConfidenceSource.MAX_SOFTMAX).confidence[0]
 
 
 class TestMaxSoftmax:
@@ -14,11 +21,11 @@ class TestMaxSoftmax:
         [([0.7, 0.3], 0.7), ([0.25, 0.25, 0.25, 0.25], 0.25), ([1.0, 0.0], 1.0)],
     )
     def test_examples(self, probs, expected):
-        assert max_softmax_confidence(probs) == expected
+        assert max_softmax(probs) == expected
 
     def test_empty_vector(self):
         with pytest.raises(ValueError, match="empty"):
-            max_softmax_confidence([])
+            max_softmax([])
 
 
 class TestCrossEntropy:

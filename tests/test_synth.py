@@ -52,6 +52,13 @@ class TestPortableRng:
         assert np.all((draws > 0) & (draws < 1))
         assert abs(draws.mean() - 2.0 / 7.0) < 0.02
 
+    @pytest.mark.parametrize("shape", [0.001, 0.0001])
+    def test_beta_of_tiny_symmetric_shapes(self, shape):
+        # both gamma draws underflow to 0 on most seeds; their logs still give the ratio
+        draws = np.array([PortableRng(seed).beta(shape, shape) for seed in range(2000)])
+        assert np.all((draws >= 0.0) & (draws <= 1.0))
+        assert abs(draws.mean() - 0.5) < 0.05
+
     def test_permutation_is_a_permutation(self):
         rng = PortableRng(4)
         assert sorted(rng.permutation(20)) == list(range(20))
@@ -225,6 +232,11 @@ class TestGenUdistTask:
             SynthUdistConfig(ensemble_size=0)
         with pytest.raises(ValueError, match="non-negative"):
             SynthUdistConfig(noise_scale=-0.1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"noise_scale \(--noise-scale\) must be finite"):
+                SynthUdistConfig(noise_scale=value)
+            with pytest.raises(ValueError, match=r"\(--signal-strength\) must be finite"):
+                SynthUdistConfig(error_signal_strength=value)
 
 
 def assert_split_matches_per_row(n: int, config: SynthUdistConfig) -> None:
