@@ -65,6 +65,7 @@ from .synth import (
 from .taskio import (
     align_members,
     collect_member_paths,
+    join_ids,
     load_member_records,
     naming_file,
     write_feature_records,
@@ -165,16 +166,9 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
         raise RecordError(f"no feature records in {feature_path}")
     members = load_member_records(collect_member_paths(member_paths))
     ids, probs, trues, member_tags = align_members(members)
-    row_of = {rid: i for i, rid in enumerate(ids)}
-    take = [row_of.get(rid) for rid in feats.ids]
-    if None in take:
-        raise RecordError(f"instance {feats.ids[take.index(None)]!r} missing from ensemble members")
-    if len(feats) < len(ids):
-        present = set(feats.ids)
-        absent = next(rid for rid in ids if rid not in present)
-        raise RecordError(
-            f"instance {absent!r} of the ensemble members is missing from {feature_path}"
-        )
+    take = join_ids(feats.ids, ids, lambda rid: f"instance {rid!r} missing from ensemble members",
+                    lambda rid: f"instance {rid!r} of the ensemble members is missing from "
+                                f"{feature_path}")
     counts = feats.feature_counts()
     member_true = np.array([-1 if t is None else t for t in trues], dtype=np.int64)[take]
     ragged = counts != counts[0]
@@ -389,6 +383,9 @@ def main(argv=None) -> int:
         return 2
     except (RecordError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .ensemble import actual_class_confidence, average_probs, temperature_scale
-from .rng import PortableRng
+from .rng import PortableRng, check_seed
 from .scoring import LOG_CLAMP, _clamped_log_loss
 
 MODEL_FORMAT = "udist-model-v1"
@@ -91,6 +91,7 @@ class TrainConfig:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must lie in (0, 1]")
+        check_seed(self.seed)
 
 
 class ConfidenceModel:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .records import PROB_SUM_TOLERANCE
+from .records import _outside_unit, _sums_within_tolerance
 
 LOG_FLOOR = 1e-12
 
@@ -39,14 +39,14 @@ def _validate_distributions(p: np.ndarray, last: str) -> None:
     """Raise ValueError unless every vector along the last axis is a distribution."""
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ValueError("probability vectors must be non-empty")
-    in_range = np.all((p >= 0.0) & (p <= 1.0), axis=-1)
-    if not np.all(in_range):
-        raise ValueError(f"{_locate(_first(~in_range), last)} has entries outside [0, 1]")
-    totals = np.sum(p, axis=-1)
-    off = np.abs(totals - 1.0) > PROB_SUM_TOLERANCE
+    out = _outside_unit(p).any(axis=-1)
+    if np.any(out):
+        raise ValueError(f"{_locate(_first(out), last)} has entries outside [0, 1]")
+    off = ~_sums_within_tolerance(p.reshape(-1, p.shape[-1])).reshape(p.shape[:-1])
     if np.any(off):
         at = _first(off)
-        raise ValueError(f"{_locate(at, last)} sums to {totals[at]:g}, not 1 within tolerance")
+        raise ValueError(f"{_locate(at, last)} sums to {math.fsum(p[at].tolist())!r}, "
+                         "not 1 within tolerance")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

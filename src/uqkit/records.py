@@ -33,8 +33,17 @@ array check (``_first_fault``) that gives the first failing row and its
 message; the record classes run the same check on a one-row table. The
 reader raises the earliest fault in file order, naming its line. At one
 row, a line that does not decode comes first, then a value that does not
-convert, then the invariants in the record class's order, then a repeated
-id.
+convert (an array field that is not a JSON array among them), then the
+invariants in the record class's order, then a repeated id.
+
+Each rule is written once. ``_TAG_IS_OOD`` lists the accepted raw tags,
+and every reader, table and record class reads tags through it. A
+probability vector holds values in [0, 1] (:func:`_outside_unit`) whose
+exact sum lies within ``PROB_SUM_TOLERANCE`` of 1
+(:func:`_sums_within_tolerance`); :mod:`uqkit.ensemble` checks its member
+and softened rows with the same two functions. Labels must fit in 64 bits
+(:func:`_too_wide`, only in ``_first_fault``). ``from_records`` turns
+records into a table and takes a table of its kind as it is.
 
 :func:`write_records_jsonl` writes from columns too: each float column is
 formatted once per distinct value (:func:`_float_text`) and the lines are
@@ -117,6 +126,16 @@ def _padded(rows: Sequence, labels: bool = False) -> tuple[np.ndarray, np.ndarra
     return values, given
 
 
+def _outside_unit(values: np.ndarray) -> np.ndarray:
+    """Which values lie outside [0, 1]; NaN does."""
+    return ~((values >= 0.0) & (values <= 1.0))
+
+
+def _too_wide(labels: np.ndarray) -> np.ndarray:
+    """Which labels do not fit in 64 bits; only an object column (:func:`_labels`) holds one."""
+    return (labels < _LABEL_MIN) | (labels > _LABEL_MAX)
+
+
 def _nonempty(rid: str, values, what: str) -> None:
     if values is not None and len(values) == 0:
         raise RecordError(f"record {rid!r}: empty {what} vector")
@@ -195,8 +214,10 @@ class _Rows(Sequence):
         return list(self) == list(other)
 
     @classmethod
-    def from_records(cls, records: Sequence):
-        """The table of records, or of any objects with the record class's fields."""
+    def from_records(cls, records: Iterable):
+        """The table of records, or of objects with their fields; a table of this kind is itself."""
+        if isinstance(records, cls):
+            return records
         return cls._of_rows([_row_of(r) for r in records])[0]
 
     def take(self, rows):
@@ -293,30 +314,26 @@ class RecordTable(_Rows):
         pred, true, conf = self.pred, self.true, self.conf
         counts = np.count_nonzero(given, axis=1)
         has = counts > 0
-        out = given & ~((probs >= 0.0) & (probs <= 1.0))
+        out = given & _outside_unit(probs)
         inside = np.where(given & ~out, probs, 0.0)
         first = np.zeros(len(self), dtype=np.int64)
         if probs.shape[1]:  # the argmax among the given cells
             at = inside.argmax(axis=1)[:, None]
             first = np.take_along_axis(np.cumsum(given, axis=1), at, axis=1)[:, 0] - 1
-
-        def unfit(labels):
-            return (labels < _LABEL_MIN) | (labels > _LABEL_MAX)
-
         return _first_of(self.ids, [
             (out.any(axis=1), lambda i: f"probability {float(probs[i][out[i]][0])} out of range"),
             (has & ~_sums_within_tolerance(inside),
-             lambda i: f"probability sum {math.fsum(inside[i].tolist()):g} exceeds tolerance"),
+             lambda i: f"probability sum {math.fsum(inside[i].tolist())!r} exceeds tolerance"),
             (has & (pred != first), lambda i: f"pred {int(pred[i])} is not the argmax of probs "
                                               f"(expected {int(first[i])})"),
             (true_given & ((true < 0) | (has & (true >= counts))),
              lambda i: f"true label {int(true[i])} out of range"
                        + (f" for {int(counts[i])} classes" if has[i] else "")),
-            (~has & unfit(pred), lambda i: f"label {int(pred[i])} does not fit in 64 bits"),
-            (~has & true_given & unfit(true),
+            (~has & _too_wide(pred), lambda i: f"label {int(pred[i])} does not fit in 64 bits"),
+            (~has & true_given & _too_wide(true),
              lambda i: f"label {int(true[i])} does not fit in 64 bits"),
             (~has & (pred < 0), lambda i: f"pred {int(pred[i])} out of range"),
-            (conf_given & ~((conf >= 0.0) & (conf <= 1.0)), lambda i: "confidence out of range"),
+            (conf_given & _outside_unit(conf), lambda i: "confidence out of range"),
             (~self.ood & ~true_given, lambda i: "in-distribution record lacks a true label"),
         ])
 
@@ -334,10 +351,6 @@ class RecordTable(_Rows):
             confidence=None if math.isnan(conf) else conf,
             dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
         )
-
-
-def _as_table(records: Sequence[PredictionRecord]) -> RecordTable:
-    return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
 
 
 def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
@@ -394,7 +407,7 @@ class MultiLabelTable(_Rows):
         ids, probs, truths, tags = map(list, zip(*rows)) if rows else ([],) * 4
         probs, probs_given = _padded(probs)
         truths, truths_given = _padded(truths, labels=True)
-        ood = np.array([tag is DistTag.OUT_OF_DISTRIBUTION for tag in tags], dtype=bool)
+        ood = np.array([_parse_tag(tag) is DistTag.OUT_OF_DISTRIBUTION for tag in tags], dtype=bool)
         return cls(ids=ids, probs=probs, truths=truths, ood=ood), (probs_given, truths_given)
 
     def _first_fault(self, probs_given, truths_given) -> tuple[int, str] | None:
@@ -405,7 +418,7 @@ class MultiLabelTable(_Rows):
         """
         probs, truths = self.probs, self.truths
         n_probs, n_truths = probs_given.sum(axis=1), truths_given.sum(axis=1)
-        out = probs_given & ~((probs >= 0.0) & (probs <= 1.0))
+        out = probs_given & _outside_unit(probs)
         odd = truths_given & (truths != 0) & (truths != 1)
         return _first_of(self.ids, [
             (n_probs != n_truths,
@@ -454,17 +467,18 @@ class FeatureTable(_Rows):
         """The table of rows in :class:`FeatureRecord`'s field order, and the given cells."""
         ids, features, true = map(list, zip(*rows)) if rows else ([],) * 3
         features, given = _padded(features)
-        return cls(ids=ids, features=features, true=np.array(true, dtype=np.int64)), (given,)
+        return cls(ids=ids, features=features, true=_labels(true)), (given,)
 
     def feature_counts(self) -> np.ndarray:
         """The number of features on each row."""
         return np.count_nonzero(~np.isnan(self.features), axis=1)
 
     def _first_fault(self, given) -> tuple[int, str] | None:
-        """The first row with a given feature that is not finite, and its message."""
+        """The first row with a label past 64 bits or a feature not finite, and its message."""
         features = self.features
         odd = given & ~np.isfinite(features)
         return _first_of(self.ids, [
+            (_too_wide(self.true), lambda i: f"label {int(self.true[i])} does not fit in 64 bits"),
             (odd.any(axis=1), lambda i: f"feature {float(features[i][odd[i]][0])} is not finite"),
         ])
 
@@ -491,9 +505,7 @@ class OutcomeSet:
             raise ValueError("correct/confidence length mismatch")
         if len(self.correct) == 0:
             raise ValueError("outcome set is empty")
-        if np.any(~np.isfinite(self.confidence)) or np.any(
-            (self.confidence < 0.0) | (self.confidence > 1.0)
-        ):
+        if _outside_unit(self.confidence).any():
             raise ValueError("confidence out of range: all values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -525,11 +537,11 @@ def _as_text(stream) -> str:
 
 
 def _parse_tag(raw) -> DistTag:
-    if raw in (None, "", "id"):
-        return DistTag.IN_DISTRIBUTION
-    if raw == "ood":
-        return DistTag.OUT_OF_DISTRIBUTION
-    raise RecordError(f"unknown tag {raw!r} (expected 'id' or 'ood')")
+    try:
+        ood = _TAG_IS_OOD[raw]  # a DistTag hashes and compares as its value
+    except (KeyError, TypeError):  # TypeError: an unhashable array or object
+        raise RecordError(f"unknown tag {raw!r} (expected 'id' or 'ood')") from None
+    return DistTag.OUT_OF_DISTRIBUTION if ood else DistTag.IN_DISTRIBUTION
 
 
 _PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
@@ -705,6 +717,13 @@ def _no_booleans(*fields) -> None:
 _NOT_ID = {dict: "an object", list: "an array", bool: "a boolean"}
 
 
+def _array(values) -> list:
+    """A JSON array field's values; anything else is a TypeError, a string or an object too."""
+    if type(values) is not list:
+        raise TypeError("not a JSON array")
+    return values
+
+
 def _record_id(rid) -> str:
     """An instance id: a JSON string or number, never an object, array or boolean."""
     if type(rid) in _NOT_ID:
@@ -725,7 +744,7 @@ def _prediction_row(rid, pred, true, conf, tag, probs) -> tuple:
     _integral(pred, true)
     _no_booleans(pred, true, conf, probs)
     try:
-        probs_t = tuple(float(p) for p in probs) if probs is not None else None
+        probs_t = tuple(float(p) for p in _array(probs)) if probs is not None else None
         pred_i = int(pred) if pred is not None else first_argmax(probs_t)
         true_i = int(true) if true is not None else None
         conf_f = float(conf) if conf is not None else None
@@ -867,8 +886,8 @@ def _multilabel_row(row) -> tuple:
         raise RecordError("need 'id', 'probs' and 'truths'")
     instance_id = _record_id(obj["id"])
     try:
-        probs = tuple(float(p) for p in obj["probs"])
-        truths = tuple(int(t) for t in obj["truths"])
+        probs = tuple(float(p) for p in _array(obj["probs"]))
+        truths = tuple(int(t) for t in _array(obj["truths"]))
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
     _integral(*obj["truths"])
@@ -916,13 +935,11 @@ def _feature_row(row) -> tuple:
     _integral(obj["true"])
     _no_booleans(obj["features"], obj["true"])
     try:
-        features = tuple(float(v) for v in obj["features"])
+        features = tuple(float(v) for v in _array(obj["features"]))
         true_label = int(obj["true"])
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
     _nonempty(rid, features, "feature")
-    if not _LABEL_MIN <= true_label <= _LABEL_MAX:
-        raise RecordError(f"record {rid!r}: label {true_label} does not fit in 64 bits")
     return rid, features, true_label
 
 
@@ -995,10 +1012,9 @@ def _array_parts(key: str, values: np.ndarray, present: np.ndarray) -> list:
 
 def _written_table(records: Iterable[PredictionRecord]) -> RecordTable:
     """The records as one table; a given table is checked as parsing checks it."""
-    if not isinstance(records, RecordTable):
-        return RecordTable.from_records(list(records))
-    _checked((records, ()))
-    return records
+    if isinstance(records, RecordTable):
+        _checked((records, ()))
+    return RecordTable.from_records(records)
 
 
 def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
@@ -1073,7 +1089,7 @@ def derive_outcomes(
     out-of-distribution record counts as incorrect, which folds OOD
     detection into the same evaluation as in-distribution confidence.
     """
-    table = _as_table(records)
+    table = RecordTable.from_records(records)
     confidence = _confidence_column(table, confidence_source)
     return OutcomeSet(~table.ood & (table.pred == table.true), confidence)
 
@@ -1087,7 +1103,7 @@ def derive_io_outcomes(
     Classification correctness is ignored entirely; feeding the result to
     the AUCCC machinery yields the in/out-of-distribution separation AUROC.
     """
-    table = _as_table(records)
+    table = RecordTable.from_records(records)
     return OutcomeSet(~table.ood, _confidence_column(table, confidence_source))
 
 
@@ -1105,8 +1121,7 @@ def binarize_multilabel(
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if len(records) == 0:
         raise ValueError("no multi-label records given")
-    if not isinstance(records, MultiLabelTable):
-        records = MultiLabelTable.from_records(records)
+    records = MultiLabelTable.from_records(records)
     given = ~np.isnan(records.probs)  # row-major: (record, class) order
     probs, truths = records.probs[given], records.truths[given]
     return OutcomeSet((probs >= threshold) == (truths != 0), np.maximum(probs, 1.0 - probs))

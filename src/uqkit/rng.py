@@ -34,6 +34,12 @@ def _splitmix64(key: int, n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64), which :class:`PortableRng` would alias to one inside."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed (--seed) must be an integer in [0, 2**64), got {seed}")
+
+
 class PortableRng:
     """xoshiro256** stream with uniform/normal/gamma/beta draws.
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensemble import _softmax
 from .records import OutcomeSet
-from .rng import PortableRng
+from .rng import PortableRng, check_seed
 
 CLASS_MEAN_SCALE = 0.8  # spread of the class centroids in feature space
 
@@ -108,6 +108,7 @@ class SynthOutcomeConfig:
     def __post_init__(self) -> None:
         if self.n_correct < 1 or self.n_incorrect < 1:
             raise ValueError("counts must be at least 1")
+        check_seed(self.seed)
 
 
 def gen_outcomes(config: SynthOutcomeConfig) -> OutcomeSet:
@@ -144,6 +145,7 @@ class SynthUdistConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} ({flag}) must be finite and non-negative, got {value}")
+        check_seed(self.seed)
 
 
 DEFAULT_UDIST_CONFIG = SynthUdistConfig()
@@ -193,9 +195,15 @@ def _gen_split(n: int, means: np.ndarray, config: SynthUdistConfig, rng: Portabl
     base = -0.5 * np.sum((struct[:, None, :] - means) ** 2, axis=-1)
     # the planted corruption: quadratic in the signal, aimed at one wrong class
     wrong = (labels + 1 + np.array(offset, dtype=np.int64)) % k
-    base[np.arange(n), wrong] += config.error_signal_strength * signal * signal
-    logits = base[:, None, :] + config.noise_scale * draws[:, n_struct:].reshape(n, n_members, k)
-    return UdistSplit(np.column_stack([struct, signal]), labels, _softmax(logits))
+    try:  # a flag large enough to overflow the logits is named, not the records it spoils
+        with np.errstate(over="raise", invalid="raise"):
+            base[np.arange(n), wrong] += config.error_signal_strength * signal * signal
+            jitter = config.noise_scale * draws[:, n_struct:].reshape(n, n_members, k)
+            probs = _softmax(base[:, None, :] + jitter)
+    except FloatingPointError:
+        raise ValueError("noise_scale (--noise-scale) and error_signal_strength "
+                         "(--signal-strength) are too large: the member logits overflow") from None
+    return UdistSplit(np.column_stack([struct, signal]), labels, probs)
 
 
 def gen_udist_task(config: SynthUdistConfig = DEFAULT_UDIST_CONFIG) -> UdistTask:

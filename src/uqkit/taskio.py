@@ -27,7 +27,6 @@ from .records import (
     RecordFormat,
     RecordTable,
     _array_parts,
-    _as_table,
     _interleaved,
     _padded,
     parse_records,
@@ -82,6 +81,19 @@ def load_member_records(paths: Sequence[Path]) -> list[RecordTable]:
     return members
 
 
+def join_ids(ids: list[str], other: list[str], missing, extra) -> np.ndarray:
+    """The row in ``other`` of each of ``ids``, unique ids joined both ways: the first of ``ids``
+    that ``other`` lacks raises ``missing(id)``, then the first it adds raises ``extra(id)``."""
+    row_of = {rid: j for j, rid in enumerate(other)}
+    rows = [row_of.get(rid) for rid in ids]
+    if None in rows:
+        raise RecordError(missing(ids[rows.index(None)]))
+    if len(row_of) > len(ids):
+        known = set(ids)
+        raise RecordError(extra(next(rid for rid in other if rid not in known)))
+    return np.array(rows, dtype=np.int64)
+
+
 def align_members(
     members: Sequence[Sequence[PredictionRecord]],
 ) -> tuple[list[str], np.ndarray, list[int | None], list[DistTag]]:
@@ -94,21 +106,14 @@ def align_members(
     """
     if len(members) == 0 or len(members[0]) == 0:
         raise RecordError("need at least one non-empty ensemble member")
-    tables = [_as_table(member) for member in members]
+    tables = [RecordTable.from_records(member) for member in members]
     first = tables[0]
     ids = first.ids
     n_classes = first.prob_counts()[0]
     blocks = []
     for m, table in enumerate(tables):
-        row_of = {rid: j for j, rid in enumerate(table.ids)}
-        take = [row_of.get(rid) for rid in ids]
-        if None in take:
-            raise RecordError(f"member {m}: missing instance id {ids[take.index(None)]!r}")
-        if len(row_of) > len(ids):
-            known = set(ids)
-            extra = next(rid for rid in row_of if rid not in known)
-            raise RecordError(f"member {m}: instance id {extra!r} is not in member 0")
-        rows = np.array(take, dtype=np.int64)
+        rows = join_ids(ids, table.ids, lambda rid: f"member {m}: missing instance id {rid!r}",
+                        lambda rid: f"member {m}: instance id {rid!r} is not in member 0")
         counts = table.prob_counts()[rows]
         agrees = (table.true[rows] == first.true) & (table.ood[rows] == first.ood)
         faults = np.flatnonzero((counts == 0) | (counts != n_classes) | ~agrees)

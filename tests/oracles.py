@@ -262,7 +262,7 @@ class Prediction:
                     raise RecordError(f"record {rid!r}: probability {p} out of range")
             total = math.fsum(self.probs)
             if abs(total - 1.0) > _PROB_SUM_TOLERANCE:
-                raise RecordError(f"record {rid!r}: probability sum {total:g} exceeds tolerance")
+                raise RecordError(f"record {rid!r}: probability sum {total!r} exceeds tolerance")
             if self.pred_label != _first_argmax(self.probs):
                 raise RecordError(f"record {rid!r}: pred {self.pred_label} is not the argmax of "
                                   f"probs (expected {_first_argmax(self.probs)})")
@@ -371,6 +371,13 @@ def _no_booleans(*fields) -> None:
             raise RecordError("boolean where a number is expected")
 
 
+def _listed(values) -> list:
+    """A JSON array's values; any other value (a string, an object) raises TypeError."""
+    if not isinstance(values, list):
+        raise TypeError("not a JSON array")
+    return values
+
+
 def _record_id(rid) -> str:
     kinds = {dict: "an object", list: "an array", bool: "a boolean"}
     if type(rid) in kinds:
@@ -387,7 +394,7 @@ def _prediction(rid, pred, true, conf, tag, probs) -> Prediction:
     _integral(pred, true)
     _no_booleans(pred, true, conf, probs)
     try:
-        probs_t = tuple(float(p) for p in probs) if probs is not None else None
+        probs_t = tuple(float(p) for p in _listed(probs)) if probs is not None else None
         pred_i = int(pred) if pred is not None else _first_argmax(probs_t)
         true_i = int(true) if true is not None else None
         conf_f = float(conf) if conf is not None else None
@@ -443,8 +450,8 @@ def _multilabel(obj: dict) -> MultiLabel:
         raise RecordError("need 'id', 'probs' and 'truths'")
     instance_id = _record_id(obj["id"])
     try:
-        probs = tuple(float(p) for p in obj["probs"])
-        truths = tuple(int(t) for t in obj["truths"])
+        probs = tuple(float(p) for p in _listed(obj["probs"]))
+        truths = tuple(int(t) for t in _listed(obj["truths"]))
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None
     _integral(*obj["truths"])
@@ -464,7 +471,7 @@ def _feature(obj: dict) -> Feature:
     _integral(obj["true"])
     _no_booleans(obj["features"], obj["true"])
     try:
-        features = tuple(float(v) for v in obj["features"])
+        features = tuple(float(v) for v in _listed(obj["features"]))
         true_label = int(obj["true"])
     except (TypeError, ValueError, OverflowError):
         raise RecordError("non-numeric field value") from None

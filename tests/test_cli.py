@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from uqkit import cli
 from uqkit.cli import main
 from uqkit.records import RecordFormat, parse_records
 
@@ -316,6 +317,26 @@ class TestSynthCli:
         assert flag in err and "record" not in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_udist_overflowing_noise_scale_writes_no_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "task"
+        code, _, err = run(capsys, "synth", "udist", "--out-dir", str(out_dir), "--n-train", "5",
+                           "--n-test", "5", "--noise-scale", "1e308")
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+        assert "--noise-scale" in err and "--signal-strength" in err and "record" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [("--signal-strength", "1e308"),
+                                             ("--noise-scale", "1e300")])
+    def test_udist_large_flags_that_do_not_overflow(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "task"
+        code, _, err = run(capsys, "synth", "udist", "--out-dir", str(out_dir), "--n-train", "5",
+                           "--n-test", "5", flag, value)
+        assert code == 0
+        lines = err.splitlines()  # one per file, and no numpy warning
+        assert len(lines) == 10 and all(line.startswith("wrote ") for line in lines)
+        assert all(len(parse_records(path.read_bytes())) == 5
+                   for path in out_dir.glob("*.member*.jsonl"))
+
     def test_outcomes_beta_with_tiny_shapes(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"
         code, _, err = run(capsys, "synth", "outcomes", "--n-correct", "3", "--n-incorrect", "3",
@@ -414,6 +435,36 @@ class TestDistillCli:
             "--out", str(model_path),
         )
         assert code == 0, err
+
+
+class TestMembersTheReaderAccepts:
+    """A member row that ``eval`` reads is a distribution to ``ensemble`` and ``distill`` too."""
+
+    # its exact sum lies within 1e-6 of 1, numpy's sum just past that
+    EDGE_ROW = [0.03254725338205713, 0.16800034966235264, 0.14413835873949352,
+                0.10097471687380824, 0.23900856640479415, 0.24333844814996475,
+                0.037242320570758394, 0.034750986216771175]
+
+    def test_row_at_the_tolerance_edge(self, tmp_path, capsys):
+        rows = [{"id": "a", "probs": self.EDGE_ROW, "pred": 5, "true": 5, "conf": 0.5},
+                {"id": "b", "probs": [0.125] * 8, "pred": 0, "true": 1, "conf": 0.25}]
+        members = [tmp_path / "m0.jsonl", tmp_path / "m1.jsonl"]
+        for path in members:
+            write_jsonl(path, rows)
+        feats = tmp_path / "f.jsonl"
+        write_jsonl(feats, [{"id": "a", "features": [0.1, 0.2], "true": 5},
+                            {"id": "b", "features": [0.3, 0.4], "true": 1}])
+        model = tmp_path / "model.json"
+        runs = [["eval", str(members[0])],
+                ["ensemble", *map(str, members)],
+                ["distill", "--train", str(feats), "--ensemble-dirs", *map(str, members),
+                 "--epochs", "2", "--out", str(model)],
+                ["distill", "--predict", "--model", str(model), "--data", str(feats),
+                 "--ensemble-dirs", *map(str, members)]]
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert "error" not in err
 
 
 class TestDistillInputErrors:
@@ -626,6 +677,38 @@ class TestDistillInputErrors:
         assert not out_path.exists()
 
 
+class TestSeeds:
+    """A seed outside [0, 2**64) is an error, not an alias of the seed it reduces to."""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "2**64"])
+    @pytest.mark.parametrize("command", ["outcomes", "udist", "train"])
+    def test_seed_outside_64_bits(self, tmp_path, capsys, command, seed):
+        feats, member = tmp_path / "f.jsonl", tmp_path / "m.jsonl"
+        write_jsonl(feats, FEATURES)
+        write_jsonl(member, MEMBER)
+        out = tmp_path / "out"
+        argv = {
+            "outcomes": ["synth", "outcomes", "--n-correct", "2", "--n-incorrect", "2",
+                         "--out", str(out)],
+            "udist": ["synth", "udist", "--out-dir", str(out), "--n-train", "2", "--n-test", "2"],
+            "train": ["distill", "--train", str(feats), "--ensemble-dirs", str(member),
+                      "--epochs", "1", "--out", str(out)],
+        }[command]
+        code, stdout, err = run(capsys, *argv, "--seed", seed)
+        assert code == 1 and stdout == ""
+        assert err == f"error: seed (--seed) must be an integer in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    def test_largest_seed_is_its_own(self, tmp_path, capsys):
+        texts = []
+        for seed in ("0", str(2**64 - 1)):
+            code, out, _ = run(capsys, "synth", "outcomes", "--n-correct", "2",
+                               "--n-incorrect", "2", "--seed", seed)
+            assert code == 0
+            texts.append(out)
+        assert texts[0] != texts[1]
+
+
 class TestDeterminism:
     def test_synth_outcomes_reruns_bit_identical(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
@@ -669,6 +752,14 @@ class TestUsability:
         for argv in usage_errors:
             assert main(argv) == 1, argv
         capsys.readouterr()
+
+    def test_memory_error_is_one_error_line(self, monkeypatch, mixed_file, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_load_outcomes", exhausted)
+        code, out, err = run(capsys, "eval", str(mixed_file))
+        assert (code, out, err) == (1, "", "error: out of memory\n")
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

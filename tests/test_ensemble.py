@@ -191,3 +191,22 @@ class TestActualClassConfidenceBatched:
     def test_label_outside_classes_names_row(self, label):
         with pytest.raises(ValueError, match=f"row 1: true label {label} out of range"):
             actual_class_confidence([[0.6, 0.4], [0.5, 0.5]], [0, label])
+
+
+# accepted by the record reader: its exact sum lies within 1e-6 of 1, numpy's sum just past it
+EDGE_ROW = [0.03254725338205713, 0.16800034966235264, 0.14413835873949352, 0.10097471687380824,
+            0.23900856640479415, 0.24333844814996475, 0.037242320570758394, 0.034750986216771175]
+
+
+def test_rows_the_record_reader_accepts_are_distributions():
+    members = np.array([[EDGE_ROW, EDGE_ROW], [[0.125] * 8] * 2])
+    softened = temperature_scale(average_probs(members), 3.0)
+    assert softened.shape == (2, 8) and int(softened[0].argmax()) == 5
+    assert temperature_scale(EDGE_ROW, 1.0).shape == (8,)
+
+
+def test_sum_error_prints_the_sum_that_failed():
+    with pytest.raises(ValueError) as rejected:
+        average_probs(np.array([[[0.5, 0.500002]]]))
+    assert str(rejected.value) == ("row 0, member 0 sums to 1.0000019999999998, "
+                                   "not 1 within tolerance")

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import astuple
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +121,12 @@ def test_faults_on_one_row_rank_as_the_reference_ranks_them(d, chunk, names):
     finally:
         records._PARSE_CHUNK = saved
     assert got == outcome(lambda: oracles.scalar_feature_records(text))
+
+
+@pytest.mark.parametrize("features", ["12", {"1": 2}, 12], ids=["string", "object", "number"])
+def test_features_must_be_a_json_array(features):
+    text = ('{"id":"a","features":[1.0,2.0],"true":0}\n'
+            + json.dumps({"id": "b", "features": features, "true": 0}) + "\n")
+    want = "RecordError: line 2: non-numeric field value"
+    assert outcome(lambda: parse_feature_records(text)) == want
+    assert outcome(lambda: oracles.scalar_feature_records(text)) == want

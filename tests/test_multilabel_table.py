@@ -217,3 +217,35 @@ def test_faults_on_one_row_rank_as_the_reference_ranks_them(k, chunk, names):
     finally:
         records._PARSE_CHUNK = saved
     assert got == outcome(lambda: [astuple(r) for r in oracles.scalar_multilabel_records(text)])
+
+
+# a JSON string or object where an array belongs, which Python would iterate
+@pytest.mark.parametrize("row, message", [
+    ({"probs": [0.5], "truths": "1"}, "non-numeric field value"),
+    ({"probs": "1", "truths": [1]}, "non-numeric field value"),
+    ({"probs": {"0.5": 1}, "truths": [1]}, "non-numeric field value"),
+    ({"probs": [0.5], "truths": {"1": 0}}, "non-numeric field value"),
+    ({"probs": [True], "truths": "1"}, "non-numeric field value"),
+    ({"probs": [0.5], "truths": "1", "tag": "x"}, "non-numeric field value"),
+], ids=["string-truths", "string-probs", "object-probs", "object-truths", "before-boolean",
+        "before-tag"])
+def test_probs_and_truths_must_be_json_arrays(row, message):
+    text = '{"id":"a","probs":[0.5],"truths":[1]}\n' + json.dumps({"id": "b", **row}) + "\n"
+    want = f"RecordError: line 2: {message}"
+    assert outcome(lambda: parse_multilabel_records(text)) == want
+    assert outcome(lambda: oracles.scalar_multilabel_records(text)) == want
+
+
+def test_record_tags_follow_the_prediction_record_rule():
+    table = MultiLabelTable.from_records([MultiLabelRecord("a", (0.5,), (1,), dist_tag="ood")])
+    assert table.ood.tolist() == [True]
+    for build in (lambda: MultiLabelRecord("b", (0.5,), (1,), dist_tag="weird"),
+                  lambda: records.PredictionRecord("b", 0, true_label=0, dist_tag="weird")):
+        with pytest.raises(RecordError) as rejected:
+            build()
+        assert str(rejected.value) == "unknown tag 'weird' (expected 'id' or 'ood')"
+
+
+def test_an_empty_file_reads_as_an_empty_table_of_the_column_types():
+    table = parse_multilabel_records("\n")
+    assert len(table) == 0 and table.ood.dtype == bool and len(table.take(~table.ood)) == 0

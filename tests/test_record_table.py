@@ -399,3 +399,26 @@ def test_two_faults_on_one_row(name):
     want = outcome(lambda: oracles.scalar_records(text))
     assert want.startswith("RecordError: line 2: ") and message in want
     assert outcome(lambda: parse_records(text)) == want
+
+
+# a JSON string or object where an array belongs, which Python would iterate
+@pytest.mark.parametrize("row, message", [
+    ({"probs": "1", "true": 0}, "non-numeric field value"),
+    ({"probs": "01", "pred": 0, "true": 0}, "non-numeric field value"),
+    ({"probs": {"1.0": 5}, "true": 0}, "non-numeric field value"),
+    ({"probs": 1.0, "true": 0}, "non-numeric field value"),
+    ({"probs": "1", "true": 0, "tag": "x"}, "non-numeric field value"),
+    ({"probs": "1", "true": True}, "boolean where a number is expected"),
+], ids=["string", "digits", "object", "number", "before-tag", "after-boolean"])
+def test_probs_must_be_a_json_array(row, message):
+    text = '{"id":"a","pred":0,"true":0,"conf":0.5}\n' + json.dumps({"id": "b", **row}) + "\n"
+    want = f"RecordError: line 2: {message}"
+    assert outcome(lambda: parse_records(text)) == want
+    assert outcome(lambda: oracles.scalar_records(text)) == want
+
+
+def test_sum_error_prints_the_sum_that_failed():
+    text = '{"id":"a","probs":[0.5,0.500002],"true":0}\n'
+    want = "RecordError: line 1: record 'a': probability sum 1.0000019999999998 exceeds tolerance"
+    assert outcome(lambda: parse_records(text)) == want
+    assert outcome(lambda: oracles.scalar_records(text)) == want

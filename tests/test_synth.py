@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import gen_split_per_row, pairwise_auccc, splitmix64_words
 from uqkit.ccc import auccc_rank
+from uqkit.distill import TrainConfig
 from uqkit.records import OutcomeSet
 from uqkit.rng import PortableRng
 from uqkit.synth import (
@@ -277,9 +278,33 @@ class TestTwoPassSplit:
         assert_split_matches_per_row(n, config)
 
     @pytest.mark.parametrize("config", [
+        SynthUdistConfig(error_signal_strength=1e308),
+        SynthUdistConfig(noise_scale=1e300),
+    ], ids=["strength-1e308", "noise-1e300"])
+    def test_large_flags_that_do_not_overflow_match_per_row_split(self, config):
+        assert_split_matches_per_row(50, config)
+
+    def test_overflowing_flags_are_named(self):
+        with pytest.raises(ValueError, match=r"\(--noise-scale\) and .* \(--signal-strength\)"):
+            gen_udist_task(SynthUdistConfig(n_train=5, n_test=5, noise_scale=1e308))
+
+    @pytest.mark.parametrize("config", [
         SynthUdistConfig(),
         SynthUdistConfig(feature_dim=12, n_classes=7, ensemble_size=3, seed=1),
         SynthUdistConfig(feature_dim=200, n_classes=2, ensemble_size=1, seed=2),
     ], ids=["default", "12x7x3", "wide-features"])
     def test_matches_per_row_split_at_size(self, config):
         assert_split_matches_per_row(500, config)
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: SynthOutcomeConfig(1, 1, ConfidenceDist.constant(0.5),
+                                    ConfidenceDist.constant(0.5), seed=seed),
+    lambda seed: SynthUdistConfig(seed=seed),
+    lambda seed: TrainConfig(seed=seed),
+], ids=["outcomes", "udist", "train"])
+def test_configs_take_seeds_in_64_bits_only(build):
+    for seed in (-1, 2**64, -(2**63)):
+        with pytest.raises(ValueError, match=r"^seed \(--seed\) must be an integer in \[0, 2"):
+            build(seed)
+    assert build(2**64 - 1).seed == 2**64 - 1
