@@ -43,7 +43,6 @@ from .records import (
     RecordError,
     RecordFormat,
     RecordTable,
-    _prediction_columns,
     binarize_multilabel,
     derive_io_outcomes,
     derive_outcomes,
@@ -51,6 +50,7 @@ from .records import (
     parse_feature_records,
     parse_multilabel_records,
     parse_records,
+    write_feature_records,
     write_records_jsonl,
 )
 from .scoring import score_outcomes
@@ -68,7 +68,6 @@ from .taskio import (
     join_ids,
     load_member_records,
     naming_file,
-    write_feature_records,
 )
 
 MODES = ("standard", "ood-unified", "io-auroc", "multi-label")
@@ -130,26 +129,33 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _probability_records(ids, probs, trues, tags, confidence=None) -> RecordTable:
-    """The records of (n, K) probability rows; confidence defaults to the row maximum."""
+def _probability_records(ids, probs, true, ood, confidence=None, labelled=False) -> RecordTable:
+    """The records of (n, K) probability rows; confidence defaults to the row maximum.
+
+    A negative ``true`` label is absent, unless every row is ``labelled``.
+    """
     conf = probs.max(axis=1) if confidence is None else confidence
-    table, given = _prediction_columns(ids, [None] * len(ids), trues, conf.tolist(), tags, probs)
-    if table._first_fault(*given) is not None:  # built one by one, the first faulty one raises
+    table = RecordTable(ids=ids, pred=probs.argmax(axis=1), true=true, conf=conf, ood=ood,
+                        probs=probs)
+    every = np.ones(len(ids), dtype=bool)
+    true_given = every if labelled else true >= 0
+    if table._first_fault(np.ones(probs.shape, dtype=bool), true_given, every) is not None:
+        # built one by one, the first faulty one raises
         table = RecordTable.from_records([
             PredictionRecord(instance_id=rid, pred_label=first_argmax(vec), probs=vec,
-                             true_label=true, confidence=max(vec) if confidence is None else c,
-                             dist_tag=tag)
-            for rid, vec, true, c, tag in zip(ids, map(tuple, probs.tolist()), trues,
-                                              conf.tolist(), tags)
+                             true_label=t if g else None, confidence=c,
+                             dist_tag=DistTag.OUT_OF_DISTRIBUTION if o else DistTag.IN_DISTRIBUTION)
+            for rid, vec, t, g, c, o in zip(ids, map(tuple, probs.tolist()), true.tolist(),
+                                            true_given.tolist(), conf.tolist(), ood.tolist())
         ])
     return table
 
 
 def cmd_ensemble(args) -> int:
     members = load_member_records(collect_member_paths(args.inputs))
-    ids, probs, trues, tags = align_members(members)
+    ids, probs, true, ood = align_members(members)
     softened = temperature_scale(average_probs(probs), args.temperature)
-    _emit(write_records_jsonl(_probability_records(ids, softened, trues, tags)), args.out)
+    _emit(write_records_jsonl(_probability_records(ids, softened, true, ood)), args.out)
     return 0
 
 
@@ -165,12 +171,12 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
     if not feats:
         raise RecordError(f"no feature records in {feature_path}")
     members = load_member_records(collect_member_paths(member_paths))
-    ids, probs, trues, member_tags = align_members(members)
+    ids, probs, member_true, ood = align_members(members)
     take = join_ids(feats.ids, ids, lambda rid: f"instance {rid!r} missing from ensemble members",
                     lambda rid: f"instance {rid!r} of the ensemble members is missing from "
                                 f"{feature_path}")
     counts = feats.feature_counts()
-    member_true = np.array([-1 if t is None else t for t in trues], dtype=np.int64)[take]
+    member_true = member_true[take]
     ragged = counts != counts[0]
     faults = np.flatnonzero(ragged | ((member_true >= 0) & (member_true != feats.true)))
     if len(faults):
@@ -178,7 +184,7 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
         if ragged[faults[0]]:
             raise RecordError(f"instance {rid!r} has inconsistent feature length")
         raise RecordError(f"instance {rid!r}: label disagrees with members")
-    return feats.ids, feats.features, probs[take], feats.true, [member_tags[j] for j in take]
+    return feats.ids, feats.features, probs[take], feats.true, ood[take]
 
 
 def cmd_distill(args) -> int:
@@ -186,11 +192,15 @@ def cmd_distill(args) -> int:
         if args.model is None or args.data is None:
             raise ValueError("--predict needs --model and --data")
         model = ConfidenceModel.from_json(Path(args.model).read_text())
-        ids, features, member_probs, labels, tags = _aligned_task(args.data, args.ensemble_dirs)
+        ids, features, member_probs, labels, ood = _aligned_task(args.data, args.ensemble_dirs)
         inputs = cascade_inputs(features, member_probs, args.temperature)
-        conf = model.forward(inputs)[:, 0]
+        try:  # an overflow is the model's fault, not the records' it would spoil
+            with np.errstate(over="raise", invalid="raise"):
+                conf = model.forward(inputs)[:, 0]
+        except FloatingPointError as exc:
+            raise ValueError(f"{args.model}: the model's forward pass fails ({exc})") from None
         softened = inputs[:, -member_probs.shape[-1] :]
-        records = _probability_records(ids, softened, labels.tolist(), tags, conf)
+        records = _probability_records(ids, softened, labels, ood, conf, labelled=True)
         _emit(write_records_jsonl(records), args.out)
         return 0
 
@@ -204,7 +214,7 @@ def cmd_distill(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    _ids, features, member_probs, labels, _tags = _aligned_task(args.train, args.ensemble_dirs)
+    _ids, features, member_probs, labels, _ood = _aligned_task(args.train, args.ensemble_dirs)
     data = make_cascade_examples(features, member_probs, labels, args.temperature_train)
     model = train_confidence_model(data, config)
     for epoch, loss in enumerate(model.epoch_losses):
@@ -214,12 +224,20 @@ def cmd_distill(args) -> int:
     return 0
 
 
+def _confidence_dist(flag: str, spec: str) -> ConfidenceDist:
+    """The distribution a ``--*-dist`` flag specifies; a bad spec's error names the flag."""
+    try:
+        return ConfidenceDist.parse(spec)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_synth_outcomes(args) -> int:
     config = SynthOutcomeConfig(
         n_correct=args.n_correct,
         n_incorrect=args.n_incorrect,
-        correct_conf_dist=ConfidenceDist.parse(args.correct_dist),
-        incorrect_conf_dist=ConfidenceDist.parse(args.incorrect_dist),
+        correct_conf_dist=_confidence_dist("--correct-dist", args.correct_dist),
+        incorrect_conf_dist=_confidence_dist("--incorrect-dist", args.incorrect_dist),
         seed=args.seed,
     )
     outcomes = gen_outcomes(config)
@@ -247,15 +265,14 @@ def cmd_synth_udist(args) -> int:
     texts = {}  # every file's text, built before any is written
     for name, split in (("train", task.train), ("test", task.test)):
         ids = [f"{name}-{i:05d}" for i in range(len(split))]
-        labels = split.labels.tolist()
         feats = [
             FeatureRecord(instance_id=rid, features=tuple(row), true_label=label)
-            for rid, row, label in zip(ids, split.features.tolist(), labels)
+            for rid, row, label in zip(ids, split.features.tolist(), split.labels.tolist())
         ]
         texts[f"{name}.features.jsonl"] = write_feature_records(feats)
-        tags = [DistTag.IN_DISTRIBUTION] * len(ids)
+        ood = np.zeros(len(ids), dtype=bool)
         for m in range(config.ensemble_size):
-            recs = _probability_records(ids, split.member_probs[:, m], labels, tags)
+            recs = _probability_records(ids, split.member_probs[:, m], split.labels, ood)
             texts[f"{name}.member{m}.jsonl"] = write_records_jsonl(recs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

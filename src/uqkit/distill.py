@@ -203,7 +203,8 @@ def _layer_outputs(model: ConfidenceModel, x: np.ndarray):
     z = activations[-1] @ model.weights[-1]
     z += model.biases[-1]
     np.negative(z, out=z)
-    np.exp(z, out=z)
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the sigmoid's limit, 0
+        np.exp(z, out=z)
     z += 1.0
     return activations, np.divide(1.0, z, out=z)
 

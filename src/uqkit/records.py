@@ -21,12 +21,16 @@ int64 ``true``, -1 where absent; float64 ``conf``, NaN where absent; bool
 ``ood``; float64 ``probs`` of shape (n, K), or None),
 :func:`parse_multilabel_records` a :class:`MultiLabelTable` and
 :func:`parse_feature_records` a :class:`FeatureTable`. Each table reads as
-a sequence of its records.
+a sequence of its records: iterating or slicing checks the rows once on
+the columns and builds records that do not check themselves again, while
+``table[i]`` builds a record that does.
 
 A reader takes ``_PARSE_CHUNK`` non-blank lines (or CSV rows) at a time,
-and each chunk becomes columns. A chunk whose rows all have the canonical
-shape (string ids, integer labels, numbers, as many values on every row)
-is built in one go; any other chunk is converted row by row, which
+and each chunk becomes columns; the CSV reader reads the text's lines as
+``io.StringIO`` yields them, each ended by a line feed only, without
+copying the text. A chunk whose rows all have the canonical shape (string
+ids, integer labels, numbers, as many values on every row) is built in
+one go; any other chunk is converted row by row, which
 accepts string numbers, numeric ids, integral float labels, and ragged or
 mixed rows, padded with NaN. Each kind states its invariants once, as an
 array check (``_first_fault``) that gives the first failing row and its
@@ -45,11 +49,13 @@ and softened rows with the same two functions. Labels must fit in 64 bits
 (:func:`_too_wide`, only in ``_first_fault``). ``from_records`` turns
 records into a table and takes a table of its kind as it is.
 
-:func:`write_records_jsonl` writes from columns too: each float column is
-formatted once per distinct value (:func:`_float_text`) and the lines are
-joined from the columns' text (:func:`_interleaved`), which gives the
-bytes of one compact ``json.dumps`` per record. Feature files and curves
-are written with the same two pieces.
+Each kind's writer is here too. :func:`write_records_jsonl` writes from
+columns: each float column is formatted once per distinct value
+(:func:`_float_text`) and the lines are joined from the columns' text
+(:func:`_interleaved`), which gives the bytes of one compact
+``json.dumps`` per record. :func:`write_feature_records` and the curve
+writers of :mod:`uqkit.ccc` use the same two pieces, and
+:func:`write_records_csv` formats floats the same way.
 """
 
 from __future__ import annotations
@@ -58,11 +64,12 @@ import csv
 import io
 import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -78,6 +85,9 @@ class RecordError(ValueError):
 class DistTag(str, Enum):
     IN_DISTRIBUTION = "id"
     OUT_OF_DISTRIBUTION = "ood"
+
+
+_DIST_TAGS = (DistTag.IN_DISTRIBUTION, DistTag.OUT_OF_DISTRIBUTION)  # indexed by an ood flag
 
 
 class ConfidenceSource(str, Enum):
@@ -126,6 +136,12 @@ def _padded(rows: Sequence, labels: bool = False) -> tuple[np.ndarray, np.ndarra
     return values, given
 
 
+def _given_cells(values: np.ndarray, given: np.ndarray | None = None) -> Iterator[tuple]:
+    """Each row's given cells as a tuple; by default those that are not NaN."""
+    given = ~np.isnan(values) if given is None else given
+    return map(tuple, map(compress, values.tolist(), given.tolist()))
+
+
 def _outside_unit(values: np.ndarray) -> np.ndarray:
     """Which values lie outside [0, 1]; NaN does."""
     return ~((values >= 0.0) & (values <= 1.0))
@@ -164,9 +180,14 @@ def _row_of(record) -> tuple:
 def _checked(built: tuple) -> None:
     """Raise the first fault of a ``(table, given)`` that ``_of_rows`` built."""
     table, given = built
-    fault = table._first_fault(*given)
-    if fault is not None:
-        raise RecordError(fault[1])
+    table._check(*given)
+
+
+def _unchecked(cls: type, values: tuple):
+    """A record of its field values in order, built without running its check."""
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return record
 
 
 @dataclass(frozen=True)
@@ -190,23 +211,42 @@ class PredictionRecord:
 
 
 class _Rows(Sequence):
-    """Columns read as a sequence of records: ``_record(i)`` builds (and so checks) row i."""
+    """Columns read as a sequence of ``_record_type`` records.
+
+    ``table[i]`` builds (and so checks) row i's record. Iterating or slicing
+    checks the rows once on their columns, then builds each record without
+    checking it again.
+    """
 
     ids: list[str]
+    _record_type: type
 
-    def _record(self, i: int):
+    def _rows(self) -> Iterator[tuple]:
+        """Each row's fields in the record's order."""
         raise NotImplementedError
+
+    def _check(self, *given) -> None:
+        """Raise the first faulty row's :class:`RecordError`; ``given`` as :meth:`_first_fault`."""
+        fault = self._first_fault(*given)
+        if fault is not None:
+            raise RecordError(fault[1])
+
+    def _records(self) -> Iterator:
+        """The rows' records, the columns checked with the masks the records would have."""
+        self._check()
+        return map(partial(_unchecked, self._record_type), self._rows())
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._record(i) for i in range(*index.indices(len(self)))]
-        return self._record(range(len(self))[index])
+            return list(self.take(np.arange(len(self))[index])._records())
+        row = next(self.take([range(len(self))[index]])._rows())
+        return self._record_type(*row)  # built, and so checked
 
     def __iter__(self) -> Iterator:
-        return map(self._record, range(len(self)))
+        return self._records()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -266,8 +306,7 @@ class RecordTable(_Rows):
     out-of-distribution tags; ``probs`` (float64, shape (n, K)) the
     probability vectors, None when no row has one. A row with fewer than K
     probabilities, or none, is padded with NaN, which no probability can be.
-    Indexing builds (and so re-validates) the record; a table equals any
-    sequence of the same records.
+    A table equals any sequence of the same records.
     """
 
     ids: list[str]
@@ -276,6 +315,7 @@ class RecordTable(_Rows):
     conf: np.ndarray
     ood: np.ndarray
     probs: np.ndarray | None
+    _record_type = PredictionRecord
 
     @classmethod
     def _of_rows(cls, rows: list[tuple]) -> tuple["RecordTable", tuple]:
@@ -337,20 +377,14 @@ class RecordTable(_Rows):
             (~self.ood & ~true_given, lambda i: "in-distribution record lacks a true label"),
         ])
 
-    def _record(self, i: int) -> PredictionRecord:
-        probs = None
-        if self.probs is not None:
-            row = self.probs[i]
-            probs = tuple(row[~np.isnan(row)].tolist()) or None
-        true, conf = int(self.true[i]), float(self.conf[i])
-        return PredictionRecord(
-            instance_id=self.ids[i],
-            pred_label=int(self.pred[i]),
-            probs=probs,
-            true_label=None if true < 0 else true,
-            confidence=None if math.isnan(conf) else conf,
-            dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
-        )
+    def _rows(self) -> Iterator[tuple]:
+        """Each row's fields in :class:`PredictionRecord`'s order, None where absent."""
+        probs = repeat(None) if self.probs is None else (
+            row or None for row in _given_cells(self.probs))
+        return zip(self.ids, self.pred.tolist(), probs,
+                   [None if t < 0 else t for t in self.true.tolist()],
+                   [None if math.isnan(c) else c for c in self.conf.tolist()],
+                   map(_DIST_TAGS.__getitem__, self.ood.tolist()))
 
 
 def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
@@ -400,6 +434,7 @@ class MultiLabelTable(_Rows):
     probs: np.ndarray
     truths: np.ndarray
     ood: np.ndarray
+    _record_type = MultiLabelRecord
 
     @classmethod
     def _of_rows(cls, rows: list[tuple]) -> tuple["MultiLabelTable", tuple]:
@@ -410,13 +445,16 @@ class MultiLabelTable(_Rows):
         ood = np.array([_parse_tag(tag) is DistTag.OUT_OF_DISTRIBUTION for tag in tags], dtype=bool)
         return cls(ids=ids, probs=probs, truths=truths, ood=ood), (probs_given, truths_given)
 
-    def _first_fault(self, probs_given, truths_given) -> tuple[int, str] | None:
+    def _first_fault(self, probs_given=None, truths_given=None) -> tuple[int, str] | None:
         """The first row that breaks a :class:`MultiLabelRecord` invariant, and its message.
 
         As many truths as probabilities, each probability in [0, 1], each
-        truth 0 or 1; ``probs_given`` and ``truths_given`` flag the given cells.
+        truth 0 or 1; ``probs_given`` and ``truths_given`` flag the given
+        cells, by default the cells whose probability is not NaN.
         """
         probs, truths = self.probs, self.truths
+        if probs_given is None:
+            probs_given = truths_given = ~np.isnan(probs)
         n_probs, n_truths = probs_given.sum(axis=1), truths_given.sum(axis=1)
         out = probs_given & _outside_unit(probs)
         odd = truths_given & (truths != 0) & (truths != 1)
@@ -427,14 +465,12 @@ class MultiLabelTable(_Rows):
             (odd.any(axis=1), lambda i: f"truth {int(truths[i][odd[i]][0])} is not binary"),
         ])
 
-    def _record(self, i: int) -> MultiLabelRecord:
-        given = ~np.isnan(self.probs[i])
-        return MultiLabelRecord(
-            instance_id=self.ids[i],
-            per_class_probs=tuple(self.probs[i][given].tolist()),
-            true_labels=tuple(self.truths[i][given].tolist()),
-            dist_tag=DistTag.OUT_OF_DISTRIBUTION if self.ood[i] else DistTag.IN_DISTRIBUTION,
-        )
+    def _rows(self) -> Iterator[tuple]:
+        """Each row's fields in :class:`MultiLabelRecord`'s order: the classes whose
+        probability is not NaN."""
+        given = ~np.isnan(self.probs)
+        return zip(self.ids, _given_cells(self.probs, given), _given_cells(self.truths, given),
+                   map(_DIST_TAGS.__getitem__, self.ood.tolist()))
 
 
 @dataclass(frozen=True)
@@ -461,6 +497,7 @@ class FeatureTable(_Rows):
     ids: list[str]
     features: np.ndarray
     true: np.ndarray
+    _record_type = FeatureRecord
 
     @classmethod
     def _of_rows(cls, rows: list[tuple]) -> tuple["FeatureTable", tuple]:
@@ -482,9 +519,13 @@ class FeatureTable(_Rows):
             (odd.any(axis=1), lambda i: f"feature {float(features[i][odd[i]][0])} is not finite"),
         ])
 
-    def _record(self, i: int) -> FeatureRecord:
-        row = self.features[i]
-        return FeatureRecord(self.ids[i], tuple(row[~np.isnan(row)].tolist()), int(self.true[i]))
+    def _rows(self) -> Iterator[tuple]:
+        """Each row's fields in :class:`FeatureRecord`'s order."""
+        return zip(self.ids, _given_cells(self.features), self.true.tolist())
+
+    def _records(self) -> Iterator[FeatureRecord]:
+        # a FeatureRecord checks only that it has features, which its table does not
+        return starmap(FeatureRecord, self._rows())
 
 
 class OutcomeSet:
@@ -541,7 +582,7 @@ def _parse_tag(raw) -> DistTag:
         ood = _TAG_IS_OOD[raw]  # a DistTag hashes and compares as its value
     except (KeyError, TypeError):  # TypeError: an unhashable array or object
         raise RecordError(f"unknown tag {raw!r} (expected 'id' or 'ood')") from None
-    return DistTag.OUT_OF_DISTRIBUTION if ood else DistTag.IN_DISTRIBUTION
+    return _DIST_TAGS[ood]
 
 
 _PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
@@ -858,6 +899,10 @@ def _csv_header(reader) -> list[str] | None:
     return header
 
 
+# a line as ``io.StringIO`` yields it: up to and with a line feed, or the text's unended tail
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
 def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> RecordTable:
     """Parse prediction records from a byte/text stream, preserving order.
 
@@ -869,7 +914,7 @@ def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> Record
     text = _as_text(stream)
     if fmt is RecordFormat.JSON_LINES:
         return _read(_jsonl_chunks(text), RecordTable, _decoded(_jsonl_columns), _jsonl_prediction)
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
         header = _csv_header(reader)
     except csv.Error as exc:
@@ -1013,7 +1058,7 @@ def _array_parts(key: str, values: np.ndarray, present: np.ndarray) -> list:
 def _written_table(records: Iterable[PredictionRecord]) -> RecordTable:
     """The records as one table; a given table is checked as parsing checks it."""
     if isinstance(records, RecordTable):
-        _checked((records, ()))
+        records._check()
     return RecordTable.from_records(records)
 
 
@@ -1035,6 +1080,18 @@ def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
         np.where(true, ',"true":', ""), np.where(true, table.true.astype(str), ""),
         np.where(conf, ',"conf":', ""), np.where(conf, _float_text(table.conf), ""),
         np.where(table.ood, ',"tag":"ood"}\n', ',"tag":"id"}\n'),
+    ])
+
+
+def write_feature_records(records: Sequence[FeatureRecord]) -> str:
+    """Feature JSON Lines from the records' columns: each line is ``json.dumps`` of
+    ``{"id", "features", "true"}`` without spaces."""
+    values, present = _padded([rec.features for rec in records])
+    return _interleaved([
+        '{"id":', [json.dumps(rec.instance_id) for rec in records],
+        *_array_parts(',"features":', values, present),
+        ',"true":', np.array([rec.true_label for rec in records], dtype=np.int64).astype(str),
+        "}\n",
     ])
 
 

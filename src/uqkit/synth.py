@@ -54,6 +54,8 @@ class ConfidenceDist:
             alpha, beta = self.params
             if alpha <= 0 or beta <= 0:
                 raise ValueError("beta parameters must be positive")
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise ValueError(f"beta parameters must be finite, got {alpha}, {beta}")
         elif self.kind == "constant":
             (c,) = self.params
             if not (0.0 <= c <= 1.0):

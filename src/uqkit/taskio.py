@@ -1,48 +1,27 @@
-"""File formats for distillation tasks.
+"""Loading and aligning the files of a distillation task.
 
-Two file kinds flow through the distillation pipeline:
+Two file kinds flow through the distillation pipeline, both read and
+written by :mod:`uqkit.records`:
 
 - feature files (JSON Lines): ``{"id": str, "features": [...], "true": int}``,
   one labeled feature vector per instance, read into a
   :class:`~uqkit.records.FeatureTable` by
-  :func:`~uqkit.records.parse_feature_records` and written here;
-- member files: standard prediction-record JSON Lines, one file per
-  ensemble member, aligned with the feature file by instance id.
+  :func:`~uqkit.records.parse_feature_records` and written by
+  :func:`~uqkit.records.write_feature_records`;
+- member files: standard prediction-record files, one per ensemble member,
+  loaded here as :class:`~uqkit.records.RecordTable` columns and aligned by
+  instance id.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .records import (
-    DistTag,
-    FeatureRecord,
-    PredictionRecord,
-    RecordError,
-    RecordFormat,
-    RecordTable,
-    _array_parts,
-    _interleaved,
-    _padded,
-    parse_records,
-)
-
-
-def write_feature_records(records: Sequence[FeatureRecord]) -> str:
-    """Feature JSON Lines from the records' columns: each line is ``json.dumps`` of
-    ``{"id", "features", "true"}`` without spaces."""
-    values, present = _padded([rec.features for rec in records])
-    return _interleaved([
-        '{"id":', [json.dumps(rec.instance_id) for rec in records],
-        *_array_parts(',"features":', values, present),
-        ',"true":', np.array([rec.true_label for rec in records], dtype=np.int64).astype(str),
-        "}\n",
-    ])
+from .records import RecordError, RecordFormat, RecordTable, parse_records
 
 
 @contextmanager
@@ -95,23 +74,23 @@ def join_ids(ids: list[str], other: list[str], missing, extra) -> np.ndarray:
 
 
 def align_members(
-    members: Sequence[Sequence[PredictionRecord]],
-) -> tuple[list[str], np.ndarray, list[int | None], list[DistTag]]:
-    """Align per-member records by instance id, in the first member's order.
+    members: Sequence[RecordTable],
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Align member tables by instance id, in the first member's order.
 
-    Returns ids, probabilities of shape (n, M, K), true labels and tags. The
-    rule is two-way: each member must hold exactly member 0's (unique) ids,
-    each record a probability vector of member 0's class count, and member
-    0's label and tag. A :class:`RecordError` names the member and the id.
+    Returns ids, probabilities of shape (n, M, K), and member 0's ``true``
+    (int64, -1 where absent) and ``ood`` (bool) columns. The rule is
+    two-way: each member must hold exactly member 0's (unique) ids, each
+    record a probability vector of member 0's class count, and member 0's
+    label and tag. A :class:`RecordError` names the member and the id.
     """
     if len(members) == 0 or len(members[0]) == 0:
         raise RecordError("need at least one non-empty ensemble member")
-    tables = [RecordTable.from_records(member) for member in members]
-    first = tables[0]
+    first = members[0]
     ids = first.ids
     n_classes = first.prob_counts()[0]
     blocks = []
-    for m, table in enumerate(tables):
+    for m, table in enumerate(members):
         rows = join_ids(ids, table.ids, lambda rid: f"member {m}: missing instance id {rid!r}",
                         lambda rid: f"member {m}: instance id {rid!r} is not in member 0")
         counts = table.prob_counts()[rows]
@@ -125,7 +104,4 @@ def align_members(
                 raise RecordError(f"member {m}: record {ids[i]!r} has {counts[i]} classes")
             raise RecordError(f"member {m}: record {ids[i]!r} disagrees on label or tag")
         blocks.append(table.probs[rows])
-    trues = [None if t < 0 else t for t in first.true.tolist()]
-    tags = [DistTag.OUT_OF_DISTRIBUTION if o else DistTag.IN_DISTRIBUTION
-            for o in first.ood.tolist()]
-    return ids, np.stack(blocks, axis=1), trues, tags
+    return ids, np.stack(blocks, axis=1), first.true, first.ood

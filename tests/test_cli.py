@@ -337,6 +337,16 @@ class TestSynthCli:
         assert all(len(parse_records(path.read_bytes())) == 5
                    for path in out_dir.glob("*.member*.jsonl"))
 
+    @pytest.mark.parametrize("flag", ["--correct-dist", "--incorrect-dist"])
+    @pytest.mark.parametrize("spec", ["beta:nan,1", "beta:inf,1", "beta:1,inf"])
+    def test_outcomes_nonfinite_beta_names_the_flag(self, tmp_path, capsys, flag, spec):
+        path = tmp_path / "o.jsonl"
+        code, _, err = run(capsys, "synth", "outcomes", "--n-correct", "2", "--n-incorrect", "2",
+                           flag, spec, "--out", str(path))
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"error: {flag}: beta parameters must be finite, got ")
+        assert not path.exists()
+
     def test_outcomes_beta_with_tiny_shapes(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"
         code, _, err = run(capsys, "synth", "outcomes", "--n-correct", "3", "--n-incorrect", "3",
@@ -582,18 +592,54 @@ class TestDistillInputErrors:
         return path
 
     def test_member_records_without_labels_take_the_feature_label(self, tmp_path, capsys):
-        # out-of-distribution members carry no label, so the feature file's 7 reaches
-        # the output records, which must reject it
+        # out-of-distribution members carry no label, so the feature file's label reaches
+        # the output records, which must reject it; a negative one is not read as absent
+        for label in (7, -1):
+            feats, member = tmp_path / "f.jsonl", tmp_path / "m.jsonl"
+            write_jsonl(feats, [{"id": "a", "features": [0.1, 0.2], "true": label}])
+            write_jsonl(member, [{"id": "a", "probs": [0.8, 0.2], "tag": "ood"}])
+            out_path = tmp_path / "preds.jsonl"
+            code, _, err = run(
+                capsys, "distill", "--predict", "--model", str(self.write_model(tmp_path)),
+                "--data", str(feats), "--ensemble-dirs", str(member), "--out", str(out_path),
+            )
+            self.assert_one_error_line(code, err,
+                                       f"true label {label} out of range for 2 classes")
+            assert not out_path.exists()
+
+    def test_overflowing_forward_pass_names_the_model(self, tmp_path, capsys):
         feats, member = tmp_path / "f.jsonl", tmp_path / "m.jsonl"
-        write_jsonl(feats, [{"id": "a", "features": [0.1, 0.2], "true": 7}])
-        write_jsonl(member, [{"id": "a", "probs": [0.8, 0.2], "tag": "ood"}])
+        write_jsonl(feats, [{"id": "a", "features": [3.0, 3.0], "true": 0}])
+        write_jsonl(member, [{"id": "a", "probs": [0.8, 0.2], "pred": 0, "true": 0}])
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "format": "udist-model-v1", "layer_sizes": [4, 2, 1], "activation": "tanh",
+            "weights": [[1e308] * 8, [0.5, 0.5]], "biases": [[0.0, 0.0], [0.0]],
+        }))
         out_path = tmp_path / "preds.jsonl"
         code, _, err = run(
-            capsys, "distill", "--predict", "--model", str(self.write_model(tmp_path)),
-            "--data", str(feats), "--ensemble-dirs", str(member), "--out", str(out_path),
+            capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),
+            "--ensemble-dirs", str(member), "--out", str(out_path),
         )
-        self.assert_one_error_line(code, err, "true label 7 out of range for 2 classes")
+        self.assert_one_error_line(code, err, f"{model_path}: the model's forward pass fails "
+                                              "(overflow encountered in matmul)")
         assert not out_path.exists()
+
+    def test_saturated_model_gives_confidence_zero(self, two_class_task, tmp_path, capsys):
+        # exp(1000) overflows on the way to the sigmoid's limit, which is no error
+        feats, member = two_class_task(1)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh",
+            "weights": [[0.0, 0.0, 0.0, 0.0]], "biases": [[-1000.0]],
+        }))
+        out_path = tmp_path / "preds.jsonl"
+        code, _, err = run(
+            capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),
+            "--ensemble-dirs", str(member), "--out", str(out_path),
+        )
+        assert code == 0 and err == ""
+        assert [r.confidence for r in parse_records(out_path.read_bytes())] == [0.0, 0.0]
 
     @pytest.mark.parametrize("bad_file", ["features", "member"])
     def test_parse_errors_name_the_file(self, two_class_task, tmp_path, capsys, bad_file):

@@ -317,6 +317,39 @@ def test_negative_pred_without_probabilities(data, fmt, message):
     assert outcome(lambda: oracles.scalar_records(data, fmt.value)) == f"RecordError: {message}"
 
 
+@pytest.mark.parametrize("tail", [
+    "e,1,1,0.5,id",  # a last row with no line feed
+    "e,1,1,0.5,i\rd\n",  # a malformed last row: an unquoted carriage return
+], ids=["unended", "malformed"])
+def test_csv_cells_keep_all_but_line_feeds(tail):
+    # quoted cells keep \r, U+2028 and \x0b, which str.splitlines would split at
+    text = ('id,pred,true,conf,tag\n"a\r\u2028\x0bb",0,0,0.5,id\r\n"c\nd",1,1,0.25,ood\n\n'
+            + tail)
+    want = outcome(lambda: rows_of(oracles.scalar_records(text, "csv")))
+    assert outcome(lambda: rows_of(parse_records(text, RecordFormat.CSV))) == want
+    if tail.endswith("\n"):
+        assert want.startswith("RecordError: line 6: malformed CSV (new-line character seen")
+    else:
+        assert [row[0] for row in want] == ["a\r\u2028\x0bb", "c\nd", "e"]
+
+
+def test_listing_a_table_checks_its_rows_once():
+    text = "".join(json.dumps({"id": f"r{i}", "probs": [0.25, 0.75], "true": i % 2}) + "\n"
+                   for i in range(2048))
+    table = parse_records(text)
+    with oracles.counting(records, "_checked") as checked:
+        listed, sliced = list(table), table[5::7]
+    assert not checked  # the columns were checked once, and no record checked itself
+    assert rows_of(listed) == rows_of(oracles.scalar_records(text))
+    assert sliced == listed[5::7] and table[-1] == listed[-1]
+    # a slice is checked on its own rows: a faulty row outside it does not raise
+    faulty = RecordTable(ids=["a", "b"], pred=np.array([0, 0]), true=np.array([0, 0]),
+                         conf=np.array([0.5, 2.0]), ood=np.array([False, False]), probs=None)
+    assert faulty[:1] == [PredictionRecord("a", 0, None, 0, 0.5)]
+    with pytest.raises(RecordError, match="record 'b': confidence out of range"):
+        list(faulty)
+
+
 def test_a_float_label_converts_its_own_chunk_only(monkeypatch):
     monkeypatch.setattr(records, "_PARSE_CHUNK", 7)
     rows = [{"id": f"r{i}", "pred": i % 3, "true": i % 3, "conf": 0.5} for i in range(70)]
