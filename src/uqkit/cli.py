@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -78,6 +79,28 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _write_all(texts: dict[Path, str]) -> None:
+    """Write every file or none: each under a temporary name beside it, renamed once all are.
+
+    A target that exists and is not a regular file is an error before anything is written.
+    """
+    for path in texts:
+        if path.exists() and not path.is_file():
+            raise OSError(f"cannot write {path}: it exists and is not a regular file")
+    temporaries = []
+    try:
+        for path, text in texts.items():
+            temporaries.append(path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}"))
+            with temporaries[-1].open("x") as file:
+                file.write(text)
+        for path, temporary in zip(texts, temporaries):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
+        raise
 
 
 def _in_distribution(table):
@@ -276,8 +299,8 @@ def cmd_synth_udist(args) -> int:
             texts[f"{name}.member{m}.jsonl"] = write_records_jsonl(recs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out_dir / name).write_text(text)
+    _write_all({out_dir / name: text for name, text in texts.items()})
+    for name in texts:
         print(f"wrote {out_dir / name}", file=sys.stderr)
     return 0
 

@@ -176,10 +176,10 @@ class ConfidenceModel:
             )
         try:
             weights = [
-                np.asarray(w, dtype=np.float64).reshape(sizes[i], sizes[i + 1])
+                _parameters(w, "weights").reshape(sizes[i], sizes[i + 1])
                 for i, w in enumerate(obj["weights"])
             ]
-            biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
+            biases = [_parameters(b, "biases") for b in obj["biases"]]
         except TypeError as exc:
             raise ValueError(f"model file has non-numeric parameters: {exc}") from None
         model = cls(weights, biases)
@@ -187,6 +187,18 @@ class ConfidenceModel:
         if activation != "tanh":
             raise ValueError(f"unsupported model activation {activation!r} (need 'tanh')")
         return model
+
+
+def _parameters(values, key: str) -> np.ndarray:
+    """A model file's parameter array as float64.
+
+    A string or a boolean among the values is an error, as in record files,
+    where numpy would read ``"1e3"`` as 1000.0 and ``true`` as 1.0.
+    """
+    odd = next((v for v in np.array(values, dtype=object).flat if type(v) in (str, bool)), None)
+    if odd is not None:
+        raise ValueError(f"model file has non-numeric parameters under {key!r}: {odd!r}")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _layer_outputs(model: ConfidenceModel, x: np.ndarray):

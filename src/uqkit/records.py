@@ -28,17 +28,21 @@ the columns and builds records that do not check themselves again, while
 A reader takes ``_PARSE_CHUNK`` non-blank lines (or CSV rows) at a time,
 and each chunk becomes columns; the CSV reader reads the text's lines as
 ``io.StringIO`` yields them, each ended by a line feed only, without
-copying the text. A chunk whose rows all have the canonical shape (string
-ids, integer labels, numbers, as many values on every row) is built in
-one go; any other chunk is converted row by row, which
-accepts string numbers, numeric ids, integral float labels, and ragged or
-mixed rows, padded with NaN. Each kind states its invariants once, as an
-array check (``_first_fault``) that gives the first failing row and its
-message; the record classes run the same check on a one-row table. The
-reader raises the earliest fault in file order, naming its line. At one
-row, a line that does not decode comes first, then a value that does not
-convert (an array field that is not a JSON array among them), then the
-invariants in the record class's order, then a repeated id.
+copying the text. Each kind's table has one builder, ``_of_columns``,
+which takes one list per record field and pads vector fields into a
+block (:func:`_padded`), NaN for a float and 0 for a label. A chunk
+whose values already have the types the row converter gives (string ids,
+integer labels, lists of numbers, of any lengths) skips the converter;
+any other chunk is converted row by row (string numbers, numeric ids,
+integral float labels), and records built directly are taken row by row
+too; every chunk and every record list then becomes columns in
+``_of_columns``. Each kind states its invariants once, as an array check
+(``_first_fault``) that gives the first failing row and its message; the
+record classes run the same check on a one-row table. The reader raises
+the earliest fault in file order, naming its line. At one row, a line
+that does not decode comes first, then a value that does not convert (an
+array field that is not a JSON array among them), then the invariants in
+the record class's order, then a repeated id.
 
 Each rule is written once. ``_TAG_IS_OOD`` lists the accepted raw tags,
 and every reader, table and record class reads tags through it. A
@@ -55,7 +59,9 @@ columns: each float column is formatted once per distinct value
 (:func:`_interleaved`), which gives the bytes of one compact
 ``json.dumps`` per record. :func:`write_feature_records` and the curve
 writers of :mod:`uqkit.ccc` use the same two pieces, and
-:func:`write_records_csv` formats floats the same way.
+:func:`write_records_csv` formats floats the same way. Every writer checks
+what it writes as its reader would: a row the reader would reject raises
+its :class:`RecordError` and nothing is written.
 """
 
 from __future__ import annotations
@@ -125,8 +131,15 @@ def _labels(values) -> np.ndarray:
 def _padded(rows: Sequence, labels: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Rows of values, None for none, as an (n, K) array, and its given cells.
 
-    Float rows are padded with NaN; label rows (``labels``) with 0.
+    Float rows are padded with NaN; label rows (``labels``) with 0. Rows all
+    of one length take one ``np.array`` call.
     """
+    try:
+        values = np.array(rows, dtype=np.int64 if labels else np.float64)
+        if values.ndim == 2:
+            return values, np.ones(values.shape, dtype=bool)
+    except (TypeError, ValueError, OverflowError):  # ragged, a None row, or labels past 64 bits
+        pass
     lengths = np.array([0 if row is None else len(row) for row in rows], dtype=np.int64)
     given = np.arange(lengths.max(initial=0)) < lengths[:, None]
     flat = [value for row in rows if row is not None for value in row]
@@ -254,6 +267,12 @@ class _Rows(Sequence):
         return list(self) == list(other)
 
     @classmethod
+    def _of_rows(cls, rows: list[tuple]) -> tuple:
+        """The table of rows in the record's field order, as :meth:`_of_columns` builds it."""
+        columns = map(list, zip(*rows)) if rows else ([],) * len(fields(cls._record_type))
+        return cls._of_columns(*columns)
+
+    @classmethod
     def from_records(cls, records: Iterable):
         """The table of records, or of objects with their fields; a table of this kind is itself."""
         if isinstance(records, cls):
@@ -318,17 +337,25 @@ class RecordTable(_Rows):
     _record_type = PredictionRecord
 
     @classmethod
-    def _of_rows(cls, rows: list[tuple]) -> tuple["RecordTable", tuple]:
-        """The table of rows in :class:`PredictionRecord`'s field order, None where absent.
+    def _of_columns(cls, ids, pred, probs, true, conf, tags) -> tuple["RecordTable", tuple]:
+        """The table of :class:`PredictionRecord`'s fields as columns, None where absent.
 
-        Returns the table and what :meth:`_first_fault` needs, as
-        :func:`_prediction_columns` does.
+        ``tags`` are raw tag values or :class:`DistTag`; a None ``pred`` is the
+        first argmax of the row's given probabilities. Returns the table and
+        ``(given, true_given, conf_given)`` for :meth:`_first_fault`, since the
+        table alone cannot tell a given NaN probability, negative true label or
+        NaN confidence from an absent one.
         """
-        ids, pred, probs, true, conf, tags = map(list, zip(*rows)) if rows else ([],) * 6
-        probs, given = _padded(probs)
-        tags = [_parse_tag(tag) for tag in tags]  # a record built directly may carry any value
-        return _prediction_columns(ids, pred, true, conf, tags, probs if probs.shape[1] else None,
-                                   given)
+        block, given = _padded(probs)
+        if None in pred:
+            first = np.where(given, block, -np.inf).argmax(axis=1).tolist()
+            pred = [f if p is None and row else p for p, f, row in zip(pred, first, probs)]
+        table = cls(ids=ids, pred=_labels(pred),
+                    true=_labels([-1 if t is None else t for t in true]),
+                    conf=np.array(conf, dtype=np.float64),  # None reads as NaN
+                    ood=_ood_column(tags), probs=block if block.shape[1] else None)
+        return table, (given, np.array([t is not None for t in true], dtype=bool),
+                       np.array([c is not None for c in conf], dtype=bool))
 
     def prob_counts(self) -> np.ndarray:
         """The number of probabilities on each row; 0 where a row has none."""
@@ -437,13 +464,12 @@ class MultiLabelTable(_Rows):
     _record_type = MultiLabelRecord
 
     @classmethod
-    def _of_rows(cls, rows: list[tuple]) -> tuple["MultiLabelTable", tuple]:
-        """The table of rows in :class:`MultiLabelRecord`'s field order, and the given cells."""
-        ids, probs, truths, tags = map(list, zip(*rows)) if rows else ([],) * 4
+    def _of_columns(cls, ids, probs, truths, tags) -> tuple["MultiLabelTable", tuple]:
+        """The table of :class:`MultiLabelRecord`'s fields as columns, and the given cells."""
         probs, probs_given = _padded(probs)
         truths, truths_given = _padded(truths, labels=True)
-        ood = np.array([_parse_tag(tag) is DistTag.OUT_OF_DISTRIBUTION for tag in tags], dtype=bool)
-        return cls(ids=ids, probs=probs, truths=truths, ood=ood), (probs_given, truths_given)
+        return (cls(ids=ids, probs=probs, truths=truths, ood=_ood_column(tags)),
+                (probs_given, truths_given))
 
     def _first_fault(self, probs_given=None, truths_given=None) -> tuple[int, str] | None:
         """The first row that breaks a :class:`MultiLabelRecord` invariant, and its message.
@@ -500,9 +526,8 @@ class FeatureTable(_Rows):
     _record_type = FeatureRecord
 
     @classmethod
-    def _of_rows(cls, rows: list[tuple]) -> tuple["FeatureTable", tuple]:
-        """The table of rows in :class:`FeatureRecord`'s field order, and the given cells."""
-        ids, features, true = map(list, zip(*rows)) if rows else ([],) * 3
+    def _of_columns(cls, ids, features, true) -> tuple["FeatureTable", tuple]:
+        """The table of :class:`FeatureRecord`'s fields as columns, and the given cells."""
         features, given = _padded(features)
         return cls(ids=ids, features=features, true=_labels(true)), (given,)
 
@@ -585,6 +610,16 @@ def _parse_tag(raw) -> DistTag:
     return _DIST_TAGS[ood]
 
 
+def _ood_column(tags) -> np.ndarray:
+    """Each raw tag's out-of-distribution flag; an unknown tag raises as in :func:`_parse_tag`."""
+    try:
+        return np.array([_TAG_IS_OOD[tag] for tag in tags], dtype=bool)
+    except (KeyError, TypeError):
+        for tag in tags:
+            _parse_tag(tag)
+        raise
+
+
 _PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
 
 # the bytes a JSON text's nesting depends on (quotes, brackets, backslashes)
@@ -653,11 +688,6 @@ def _jsonl_chunks(text: str) -> Iterator[tuple[list[int], list]]:
         yield linenos, _joined_objects(chunk) or chunk
 
 
-def _decoded(build):
-    """``build`` for a chunk of objects; a chunk of undecoded lines is not canonical."""
-    return lambda rows: build(rows) if isinstance(rows[0], dict) else None
-
-
 def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
     """The CSV reader's non-blank rows after the header, ``_PARSE_CHUNK`` rows at a time.
 
@@ -686,16 +716,18 @@ def _read(chunks, cls: type, canonical, convert):
     """One ``cls`` table of the chunks' rows; the earliest fault in file order raises.
 
     ``chunks`` yields each chunk's line numbers and rows. ``canonical(rows)``
-    builds the columns of a canonical chunk in one go, or gives None; any
-    other chunk is converted row by row by ``convert``, whose
-    :class:`RecordError` (a row that does not decode or convert) is that
-    row's fault. The columns are then checked by ``cls._first_fault``, and
-    the ids of all rows by one set.
+    builds the table of a canonical chunk, one whose values all have the
+    types ``convert`` gives, with ``cls._of_columns``, or gives None; a chunk
+    of undecoded lines is not canonical. Any other chunk is converted row by
+    row by ``convert``, whose :class:`RecordError` (a row that does not
+    decode or convert) is that row's fault, and built by ``cls._of_rows``.
+    The columns are then checked by ``cls._first_fault``, and the ids of all
+    rows by one set.
     """
     tables, ids, lines = [], [], []
     for chunk_lines, rows in chunks:
-        try:
-            built = canonical(rows)
+        try:  # a failed build (an unknown tag, a label past 64 bits) is not canonical either
+            built = None if isinstance(rows[0], str) else canonical(rows)
         except (TypeError, ValueError, OverflowError):
             built = None
         fault = None
@@ -814,53 +846,16 @@ def _csv_prediction(row: list[str] | csv.Error, n_cells: int) -> tuple:
     return _prediction_row(*cells[: len(_FIELDS)], probs)
 
 
-def _prediction_columns(ids, pred, true, conf, tags, probs, given=None) -> tuple | None:
-    """Columns of prediction records as a :class:`RecordTable`, and what its check needs.
-
-    ``ids`` are strings; ``pred``, ``true`` and ``conf`` Python numbers or
-    None, where a None ``pred`` is the argmax of ``probs``; ``tags`` raw tag
-    values or :class:`DistTag`; ``probs`` an (n, K) array or None, and
-    ``given`` its given cells, by default all. Returns the table and
-    ``(given, true_given, conf_given)``, since the table alone cannot tell a
-    given NaN probability, negative true label or NaN confidence from an
-    absent one; None when a tag is unknown, ``probs`` has no column, or a
-    row lacks both ``pred`` and ``probs``.
-    """
-    if not set(tags) <= _TAG_IS_OOD.keys() or (probs is not None and probs.shape[1] == 0):
-        return None
-    if None in pred:
-        if probs is None:
-            return None
-        pred = [t if p is None else p for p, t in zip(pred, probs.argmax(axis=1).tolist())]
-    table = RecordTable(
-        ids=ids,
-        pred=_labels(pred),
-        true=_labels([-1 if t is None else t for t in true]),
-        conf=np.array(conf, dtype=np.float64),  # None reads as NaN
-        ood=np.array([_TAG_IS_OOD[t] for t in tags], dtype=bool),
-        probs=probs,
-    )
-    if given is None:
-        given = np.ones((len(ids), 0 if probs is None else probs.shape[1]), dtype=bool)
-    return table, (given, np.array([t is not None for t in true], dtype=bool),
-                   np.array([c is not None for c in conf], dtype=bool))
-
-
 def _jsonl_columns(objects: list[dict]) -> tuple | None:
-    """A chunk of JSON Lines objects as columns, if each has the canonical shape."""
+    """A chunk of JSON Lines objects as a table, if each value has its converted type."""
     ids, pred, true, conf, tag, probs = ([obj.get(key) for obj in objects]
                                          for key in (*_FIELDS, "probs"))
-    if not (set(map(type, ids)) == {str} and set(map(type, pred)) <= _LABEL_TYPES
-            and set(map(type, true)) <= _LABEL_TYPES and set(map(type, conf)) <= _NUMBER_TYPES):
-        return None
-    prob_types = set(map(type, probs))
-    if prob_types == {type(None)}:
-        block = None
-    elif prob_types == {list} and set(map(type, chain.from_iterable(probs))) <= {int, float}:
-        block = np.array(probs, dtype=np.float64)  # ValueError when ragged
-    else:
-        return None
-    return _prediction_columns(ids, pred, true, conf, tag, block)
+    if (set(map(type, ids)) == {str} and set(map(type, pred)) <= _LABEL_TYPES
+            and set(map(type, true)) <= _LABEL_TYPES and set(map(type, conf)) <= _NUMBER_TYPES
+            and set(map(type, probs)) <= {list, type(None)} and [] not in probs
+            and set(map(type, chain.from_iterable(filter(None, probs)))) <= {int, float}):
+        return RecordTable._of_columns(ids, pred, probs, true, conf, tag)
+    return None
 
 
 def _jsonl_prediction(row) -> tuple:
@@ -869,23 +864,23 @@ def _jsonl_prediction(row) -> tuple:
 
 
 def _csv_columns(rows: list[list[str]], n_cells: int) -> tuple | None:
-    """A chunk of CSV rows as columns, if every row is complete and canonical."""
+    """A chunk of CSV rows as a table, if every row is complete and canonical."""
     if set(map(len, rows)) != {n_cells}:
         return None
     ids, pred, true, conf, tag, *prob_columns = zip(*rows)
     if "" in ids:
         return None
-    block = None
+    probs = [None] * len(rows)
     if prob_columns and not all(set(column) == {""} for column in prob_columns):
-        # float() per cell, as the row converter; an empty cell raises ValueError
-        block = np.array([row[len(_FIELDS) :] for row in rows], dtype=np.float64)
-    return _prediction_columns(
+        # numpy reads each cell as the row converter's float() does; an empty one raises
+        probs = [row[len(_FIELDS) :] for row in rows]
+    return RecordTable._of_columns(
         list(ids),
         [int(c) if c else None for c in pred],
+        probs,
         [int(c) if c else None for c in true],
         [float(c) if c else None for c in conf],
         tag,
-        block,
     )
 
 
@@ -913,7 +908,7 @@ def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> Record
         raise ValueError(f"unknown record format: {fmt!r}")
     text = _as_text(stream)
     if fmt is RecordFormat.JSON_LINES:
-        return _read(_jsonl_chunks(text), RecordTable, _decoded(_jsonl_columns), _jsonl_prediction)
+        return _read(_jsonl_chunks(text), RecordTable, _jsonl_columns, _jsonl_prediction)
     reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
         header = _csv_header(reader)
@@ -941,23 +936,19 @@ def _multilabel_row(row) -> tuple:
 
 
 def _multilabel_columns(objects: list[dict]) -> tuple | None:
-    """A chunk of multi-label objects as columns, if each has the canonical shape.
+    """A chunk of multi-label objects as a table, if each value has its converted type.
 
-    Canonical: a string id, a list of numbers as ``probs``, a list of
-    integers as ``truths``, each list as long on every row, and a known tag.
+    That is a string id, a list of numbers as ``probs`` and a list of
+    integers as ``truths``.
     """
     ids, probs, truths, tags = ([obj.get(key) for obj in objects]
                                 for key in ("id", "probs", "truths", "tag"))
-    if not (set(map(type, ids)) == {str} and set(map(type, probs)) == {list}
-            and set(map(type, truths)) == {list} and set(tags) <= _TAG_IS_OOD.keys()
+    if (set(map(type, ids)) == {str} and set(map(type, probs)) == {list}
+            and set(map(type, truths)) == {list}
             and set(map(type, chain.from_iterable(probs))) <= {int, float}
             and set(map(type, chain.from_iterable(truths))) <= {int}):
-        return None
-    probs = np.array(probs, dtype=np.float64)  # ValueError when ragged
-    truths = np.array(truths, dtype=np.int64)  # OverflowError past 64 bits
-    ood = np.array([_TAG_IS_OOD[t] for t in tags], dtype=bool)
-    table = MultiLabelTable(ids=ids, probs=probs, truths=truths, ood=ood)
-    return table, (np.ones(probs.shape, dtype=bool), np.ones(truths.shape, dtype=bool))
+        return MultiLabelTable._of_columns(ids, probs, truths, tags)
+    return None
 
 
 def parse_multilabel_records(stream) -> MultiLabelTable:
@@ -967,8 +958,8 @@ def parse_multilabel_records(stream) -> MultiLabelTable:
     "tag": "id"|"ood"}``. Raises :class:`RecordError` naming the first
     offending line.
     """
-    return _read(_jsonl_chunks(_as_text(stream)), MultiLabelTable,
-                 _decoded(_multilabel_columns), _multilabel_row)
+    return _read(_jsonl_chunks(_as_text(stream)), MultiLabelTable, _multilabel_columns,
+                 _multilabel_row)
 
 
 def _feature_row(row) -> tuple:
@@ -989,21 +980,16 @@ def _feature_row(row) -> tuple:
 
 
 def _feature_columns(objects: list[dict]) -> tuple | None:
-    """A chunk of feature objects as columns, if each has the canonical shape.
+    """A chunk of feature objects as a table, if each value has its converted type.
 
-    Canonical: a string id, a non-empty list of numbers as long on every
-    row, and an integer label.
+    That is a string id, a non-empty list of numbers and an integer label.
     """
     ids, features, true = ([obj.get(key) for obj in objects] for key in ("id", "features", "true"))
-    if not (set(map(type, ids)) == {str} and set(map(type, features)) == {list}
-            and set(map(type, true)) == {int}
+    if (set(map(type, ids)) == {str} and set(map(type, features)) == {list}
+            and [] not in features and set(map(type, true)) == {int}
             and set(map(type, chain.from_iterable(features))) <= {int, float}):
-        return None
-    block = np.array(features, dtype=np.float64)  # ValueError when ragged
-    if block.shape[1] == 0:
-        return None
-    table = FeatureTable(ids=ids, features=block, true=np.array(true, dtype=np.int64))
-    return table, (np.ones(block.shape, dtype=bool),)
+        return FeatureTable._of_columns(ids, features, true)
+    return None
 
 
 def parse_feature_records(stream) -> FeatureTable:
@@ -1012,8 +998,7 @@ def parse_feature_records(stream) -> FeatureTable:
     One object per line: ``{"id": str, "features": [...], "true": int}``,
     every feature finite.
     """
-    return _read(_jsonl_chunks(_as_text(stream)), FeatureTable, _decoded(_feature_columns),
-                 _feature_row)
+    return _read(_jsonl_chunks(_as_text(stream)), FeatureTable, _feature_columns, _feature_row)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,12 +1070,20 @@ def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
 
 def write_feature_records(records: Sequence[FeatureRecord]) -> str:
     """Feature JSON Lines from the records' columns: each line is ``json.dumps`` of
-    ``{"id", "features", "true"}`` without spaces."""
-    values, present = _padded([rec.features for rec in records])
+    ``{"id", "features", "true"}`` without spaces.
+
+    The records are checked as :func:`parse_feature_records` checks them, so a
+    feature that is not finite or a label past 64 bits raises its
+    :class:`RecordError` and nothing is written.
+    """
+    table, (given,) = FeatureTable._of_columns(
+        [rec.instance_id for rec in records], [rec.features for rec in records],
+        [rec.true_label for rec in records])
+    table._check(given)
     return _interleaved([
-        '{"id":', [json.dumps(rec.instance_id) for rec in records],
-        *_array_parts(',"features":', values, present),
-        ',"true":', np.array([rec.true_label for rec in records], dtype=np.int64).astype(str),
+        '{"id":', list(map(json.dumps, table.ids)),
+        *_array_parts(',"features":', table.features, given),
+        ',"true":', table.true.astype(str),
         "}\n",
     ])
 

@@ -124,6 +124,8 @@ class PortableRng:
     def beta(self, alpha: float, beta_param: float) -> float:
         if alpha <= 0.0 or beta_param <= 0.0:
             raise ValueError("beta parameters must be positive")
+        if not (math.isfinite(alpha) and math.isfinite(beta_param)):
+            raise ValueError(f"beta parameters must be finite, got {alpha}, {beta_param}")
         x, log_x = self._gamma_and_log(alpha)
         y, log_y = self._gamma_and_log(beta_param)
         if x + y == 0.0:  # both draws underflowed: x / (x + y) = 1 / (1 + exp(log y - log x))

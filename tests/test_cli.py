@@ -5,6 +5,7 @@ import pytest
 
 from uqkit import cli
 from uqkit.cli import main
+from uqkit.distill import ConfidenceModel
 from uqkit.records import RecordFormat, parse_records
 
 
@@ -324,6 +325,26 @@ class TestSynthCli:
         assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
         assert "--noise-scale" in err and "--signal-strength" in err and "record" not in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_udist_with_a_directory_in_the_way_writes_no_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "task"
+        (out_dir / "test.member2.jsonl").mkdir(parents=True)
+        (out_dir / "train.features.jsonl").write_text("kept\n")
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, _, err = run(capsys, "synth", "udist", "--out-dir", str(out_dir), "--n-train", "20",
+                           "--n-test", "20")
+        assert code == 1 and err.count("\n") == 1
+        assert err == (f"error: cannot write {out_dir / 'test.member2.jsonl'}: "
+                       "it exists and is not a regular file\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == before
+        assert (out_dir / "train.features.jsonl").read_text() == "kept\n"
+
+    def test_a_write_that_fails_midway_leaves_no_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the second file fails while being written
+        texts = {tmp_path / "a.jsonl": "{}\n", tmp_path / "b.jsonl": "\udc80", tmp_path / "c": ""}
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_all(texts)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--signal-strength", "1e308"),
                                              ("--noise-scale", "1e300")])
@@ -715,6 +736,27 @@ class TestDistillInputErrors:
         model_path = tmp_path / "model.json"
         model_path.write_text(model_doc if isinstance(model_doc, str) else json.dumps(model_doc))
         out_path = tmp_path / "preds.jsonl"
+        code, _, err = run(
+            capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),
+            "--ensemble-dirs", str(member), "--out", str(out_path),
+        )
+        self.assert_one_error_line(code, err, fragment)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("weights, biases, fragment", [
+        ([["0.5", "1e3", 0.0, 0.0]], [[0.0]], "under 'weights': '0.5'"),
+        ([[0.0, 0.0, 0.0, 0.0]], [[True]], "under 'biases': True"),
+    ], ids=["string-weights", "boolean-bias"])
+    def test_predict_model_parameters_must_be_json_numbers(self, two_class_task, tmp_path,
+                                                           capsys, weights, biases, fragment):
+        # numpy would read "1e3" as 1000.0 and true as 1.0; the record readers reject both
+        doc = json.dumps({"format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh",
+                          "weights": weights, "biases": biases})
+        with pytest.raises(ValueError, match=f"model file has non-numeric parameters {fragment}"):
+            ConfidenceModel.from_json(doc)
+        feats, member = two_class_task(1)
+        model_path, out_path = tmp_path / "model.json", tmp_path / "preds.jsonl"
+        model_path.write_text(doc)
         code, _, err = run(
             capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),
             "--ensemble-dirs", str(member), "--out", str(out_path),

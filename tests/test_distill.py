@@ -398,3 +398,12 @@ class TestTraining:
         for lr in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="learning rate must be a finite number"):
                 TrainConfig(learning_rate=lr)
+
+
+def test_lr_decay_lies_in_the_half_open_unit_interval():
+    # a decay of 0 would stop training at half the epochs; 1 keeps the rate
+    for decay in (0.0, -0.5, 1.0 + 2**-52, math.nan):
+        with pytest.raises(ValueError, match=r"lr_decay must lie in \(0, 1\]"):
+            TrainConfig(lr_decay=decay)
+    assert TrainConfig(lr_decay=1.0).lr_decay == 1.0
+    assert TrainConfig(lr_decay=5e-324).lr_decay == 5e-324

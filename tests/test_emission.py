@@ -36,7 +36,7 @@ from uqkit.records import (
 )
 from uqkit.scoring import score_outcomes
 from uqkit.records import FeatureRecord
-from uqkit.records import write_feature_records
+from uqkit.records import parse_feature_records, write_feature_records
 
 # confidences whose repr takes an exponent, a sign or the most digits
 SPECIAL = [0.0, -0.0, 1.0, 1e-05, 5e-324, 2.5e-08, 0.5, 1 / 3, 0.1, 0.9999999999999999]
@@ -205,13 +205,33 @@ def test_record_writer_matches_per_record_dumps(records):
 def test_feature_writer_matches_per_record_dumps(rows):
     records = [FeatureRecord(instance_id=rid, features=tuple(map(float, features)), true_label=y)
                for rid, features, y in rows]
-    assert write_feature_records(records) == oracles.features_jsonl(records)
+    bad = next((rec for rec in records if not all(map(math.isfinite, rec.features))), None)
+    if bad is None:
+        assert write_feature_records(records) == oracles.features_jsonl(records)
+        return
+    # the first record with a feature that is not finite raises what reading it raises
+    with pytest.raises(RecordError) as written:
+        write_feature_records(records)
+    with pytest.raises(RecordError) as read:
+        parse_feature_records(oracles.features_jsonl([bad]))
+    assert str(read.value) == f"line 1: {written.value}"
 
 
-def test_feature_writer_spells_non_finite_values_as_json_does():
-    records = [FeatureRecord("a", (math.nan, math.inf, -math.inf, -0.0), 1)]
-    assert write_feature_records(records) == oracles.features_jsonl(records)
-    assert "[NaN,Infinity,-Infinity,-0.0]" in write_feature_records(records)
+def test_feature_writer_rejects_what_the_reader_rejects():
+    for value, label, message in [
+        (math.nan, 1, "record 'a': feature nan is not finite"),
+        (math.inf, 1, "record 'a': feature inf is not finite"),
+        (-math.inf, 1, "record 'a': feature -inf is not finite"),
+        (0.5, 2**70, "record 'a': label 1180591620717411303424 does not fit in 64 bits"),
+    ]:
+        records = [FeatureRecord("b", (-0.0, 1.0), 0), FeatureRecord("a", (-0.0, value), label)]
+        with pytest.raises(RecordError) as written:
+            write_feature_records(records)
+        assert str(written.value) == message
+    # a finite row spells -0.0 as json.dumps does
+    assert write_feature_records(records[:1]) == oracles.features_jsonl(records[:1]) == (
+        '{"id":"b","features":[-0.0,1.0],"true":0}\n'
+    )
 
 
 def test_invalid_table_row_raises_the_record_error():

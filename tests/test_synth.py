@@ -311,3 +311,24 @@ def test_configs_take_seeds_in_64_bits_only(build):
         with pytest.raises(ValueError, match=r"^seed \(--seed\) must be an integer in \[0, 2"):
             build(seed)
     assert build(2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("params, message", [
+    ((float("nan"), 1.0), "beta parameters must be finite, got nan, 1.0"),
+    ((2.0, float("inf")), "beta parameters must be finite, got 2.0, inf"),
+    ((0.0, 1.0), "beta parameters must be positive"),
+    ((1.0, -1.0), "beta parameters must be positive"),
+])
+def test_beta_rejects_parameters_that_are_not_positive_and_finite(params, message):
+    # as ConfidenceDist does; NaN and infinity would give NaN draws
+    with pytest.raises(ValueError) as raised:
+        PortableRng(0).beta(*params)
+    assert str(raised.value) == message
+
+
+def test_one_row_splits_are_the_smallest():
+    task = gen_udist_task(SynthUdistConfig(n_train=1, n_test=1))
+    assert len(task.train) == len(task.test) == 1
+    assert task.train.features.shape == (1, SynthUdistConfig.feature_dim)
+    with pytest.raises(ValueError, match="split sizes must be at least 1"):
+        SynthUdistConfig(n_train=0, n_test=1)
