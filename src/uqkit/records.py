@@ -60,8 +60,10 @@ columns: each float column is formatted once per distinct value
 ``json.dumps`` per record. :func:`write_feature_records` and the curve
 writers of :mod:`uqkit.ccc` use the same two pieces, and
 :func:`write_records_csv` formats floats the same way. Every writer checks
-what it writes as its reader would: a row the reader would reject raises
-its :class:`RecordError` and nothing is written.
+each row with its kind's ``_first_fault``, as the reader does: a row that
+breaks a record invariant, a feature that is not finite or a label past
+64 bits raises its :class:`RecordError` and nothing is written. Writers do
+not check that ids are unique, which the reader also requires.
 """
 
 from __future__ import annotations
@@ -347,13 +349,14 @@ class RecordTable(_Rows):
         NaN confidence from an absent one.
         """
         block, given = _padded(probs)
+        ood = np.array([_parse_tag(t) is DistTag.OUT_OF_DISTRIBUTION for t in tags], dtype=bool)
         if None in pred:
             first = np.where(given, block, -np.inf).argmax(axis=1).tolist()
             pred = [f if p is None and row else p for p, f, row in zip(pred, first, probs)]
         table = cls(ids=ids, pred=_labels(pred),
                     true=_labels([-1 if t is None else t for t in true]),
                     conf=np.array(conf, dtype=np.float64),  # None reads as NaN
-                    ood=_ood_column(tags), probs=block if block.shape[1] else None)
+                    ood=ood, probs=block if block.shape[1] else None)
         return table, (given, np.array([t is not None for t in true], dtype=bool),
                        np.array([c is not None for c in conf], dtype=bool))
 
@@ -468,7 +471,8 @@ class MultiLabelTable(_Rows):
         """The table of :class:`MultiLabelRecord`'s fields as columns, and the given cells."""
         probs, probs_given = _padded(probs)
         truths, truths_given = _padded(truths, labels=True)
-        return (cls(ids=ids, probs=probs, truths=truths, ood=_ood_column(tags)),
+        ood = np.array([_parse_tag(t) is DistTag.OUT_OF_DISTRIBUTION for t in tags], dtype=bool)
+        return (cls(ids=ids, probs=probs, truths=truths, ood=ood),
                 (probs_given, truths_given))
 
     def _first_fault(self, probs_given=None, truths_given=None) -> tuple[int, str] | None:
@@ -610,16 +614,6 @@ def _parse_tag(raw) -> DistTag:
     return _DIST_TAGS[ood]
 
 
-def _ood_column(tags) -> np.ndarray:
-    """Each raw tag's out-of-distribution flag; an unknown tag raises as in :func:`_parse_tag`."""
-    try:
-        return np.array([_TAG_IS_OOD[tag] for tag in tags], dtype=bool)
-    except (KeyError, TypeError):
-        for tag in tags:
-            _parse_tag(tag)
-        raise
-
-
 _PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
 
 # the bytes a JSON text's nesting depends on (quotes, brackets, backslashes)
@@ -692,9 +686,9 @@ def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
     """The CSV reader's non-blank rows after the header, ``_PARSE_CHUNK`` rows at a time.
 
     Yields line numbers (the header is line 1, and each row after it counts
-    one line) and rows. A :class:`csv.Error` (a cell over the csv module's
-    size limit, say) becomes the last row, on the reader's line, for the row
-    converter to raise.
+    one line) and rows; a run of blank rows alone yields nothing. A
+    :class:`csv.Error` (a cell over the csv module's size limit, say) becomes
+    the last row, on the reader's line, for the row converter to raise.
     """
     line = 1
     while True:
@@ -709,16 +703,18 @@ def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
         if isinstance(block[-1], csv.Error):
             linenos[-1] = reader.line_num
         line += len(block)
-        yield linenos, [row for row in block if row]
+        if linenos:
+            yield linenos, [row for row in block if row]
 
 
 def _read(chunks, cls: type, canonical, convert):
     """One ``cls`` table of the chunks' rows; the earliest fault in file order raises.
 
-    ``chunks`` yields each chunk's line numbers and rows. ``canonical(rows)``
-    builds the table of a canonical chunk, one whose values all have the
-    types ``convert`` gives, with ``cls._of_columns``, or gives None; a chunk
-    of undecoded lines is not canonical. Any other chunk is converted row by
+    ``chunks`` yields each chunk's line numbers and rows, at least one row
+    per chunk. ``canonical(rows)`` builds the table of a canonical chunk, one
+    whose values all have the types ``convert`` gives, with
+    ``cls._of_columns``, or gives None; a chunk of undecoded lines is not
+    canonical. Any other chunk is converted row by
     row by ``convert``, whose :class:`RecordError` (a row that does not
     decode or convert) is that row's fault, and built by ``cls._of_rows``.
     The columns are then checked by ``cls._first_fault``, and the ids of all

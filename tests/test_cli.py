@@ -208,6 +208,19 @@ class TestCurve:
         assert code2 == 0
         assert out_file.read_text() == out
 
+    def test_csv_blank_rows_alone_after_the_last_chunk(self, tmp_path, capsys):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("id,pred,true,conf,tag\n\n")
+        assert run(capsys, "curve", str(header_only)) == (
+            1, "", "error: no in-distribution records in input\n")
+        rows = "".join(f"r{i},{i % 2},0,{i % 97 / 97},id\n" for i in range(2048))
+        full_chunk = tmp_path / "full.csv"
+        full_chunk.write_text("id,pred,true,conf,tag\n" + rows)
+        code, want, _ = run(capsys, "curve", str(full_chunk))
+        assert code == 0
+        full_chunk.write_text("id,pred,true,conf,tag\n" + rows + "\n")
+        assert run(capsys, "curve", str(full_chunk)) == (0, want, "")
+
 
 class TestEnsemble:
     @pytest.fixture

@@ -235,6 +235,29 @@ def test_fault_on_a_chunks_last_line(monkeypatch, chunk, fault):
     assert outcome(lambda: parse_records(text.replace("\n", "\r\n"))) == want
 
 
+CSV_HEADER = "id,pred,true,conf,tag,p0\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2048])
+@pytest.mark.parametrize("tail", ["\n", "\n\n", "\r\n"])
+def test_csv_blank_rows_after_the_last_chunk_add_nothing(n, tail):
+    # a trailing blank row after the header, or after a full chunk, is a chunk of blank rows alone
+    assert records._PARSE_CHUNK == 2048
+    text = CSV_HEADER + "".join(f"r{i},0,0,0.5,id,1\n" for i in range(n))
+    want = rows_of(parse_records(text, RecordFormat.CSV))
+    assert len(want) == n
+    assert rows_of(parse_records(text + tail, RecordFormat.CSV)) == want
+
+
+def test_csv_chunk_of_blank_rows_alone_keeps_line_numbers(monkeypatch):
+    monkeypatch.setattr(records, "_PARSE_CHUNK", 2)
+    text = CSV_HEADER + "a,0,0,0.5,id,1\nb,0,0,0.5,id,1\n\n\nc,0,0,0.5,id,1\n"
+    assert [rec.instance_id for rec in parse_records(text, RecordFormat.CSV)] == ["a", "b", "c"]
+    faulty = text.replace("c,0,0,0.5,id,1", "c,0,0,0.5,id,2")
+    with pytest.raises(RecordError, match="^line 6: "):
+        parse_records(faulty, RecordFormat.CSV)
+
+
 def test_probability_sums_at_the_tolerance_edge():
     rows = [[half + j * EPS / 2, 0.5, tiny * EPS, tiny * EPS]
             for half in (0.5 - 1e-6, 0.5 + 1e-6) for j in range(-8, 9) for tiny in (0.3, 0.6, 0.9)]
