@@ -174,14 +174,9 @@ class ConfidenceModel:
                 f"model file has {len(obj['weights'])} weight and {len(obj['biases'])} "
                 f"bias arrays for {n_layers} layers"
             )
-        try:
-            weights = [
-                _parameters(w, "weights").reshape(sizes[i], sizes[i + 1])
-                for i, w in enumerate(obj["weights"])
-            ]
-            biases = [_parameters(b, "biases") for b in obj["biases"]]
-        except TypeError as exc:
-            raise ValueError(f"model file has non-numeric parameters: {exc}") from None
+        weights = [_parameters(w, "weights", (sizes[i], sizes[i + 1]))
+                   for i, w in enumerate(obj["weights"])]
+        biases = [_parameters(b, "biases", (sizes[i + 1],)) for i, b in enumerate(obj["biases"])]
         model = cls(weights, biases)
         activation = obj.get("activation")
         if activation != "tanh":
@@ -189,16 +184,30 @@ class ConfidenceModel:
         return model
 
 
-def _parameters(values, key: str) -> np.ndarray:
-    """A model file's parameter array as float64.
+def _parameters(values, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A model file's parameter array as float64 of ``shape``; a fault names ``key``.
 
-    A string or a boolean among the values is an error, as in record files,
-    where numpy would read ``"1e3"`` as 1000.0 and ``true`` as 1.0.
+    Only finite JSON numbers are parameters. A string, a boolean or a null
+    among the values is an error, as in record files, where numpy would read
+    ``"1e3"`` as 1000.0, ``true`` as 1.0 and ``null`` as NaN. So are a ragged
+    array, an integer past float64, a value that is not finite, and a count
+    of values that does not fill ``shape``.
     """
-    odd = next((v for v in np.array(values, dtype=object).flat if type(v) in (str, bool)), None)
-    if odd is not None:
-        raise ValueError(f"model file has non-numeric parameters under {key!r}: {odd!r}")
-    return np.asarray(values, dtype=np.float64)
+    odd = [v for v in np.array(values, dtype=object).ravel() if type(v) not in (int, float)]
+    if odd and type(odd[0]) is list:  # numpy leaves a list where the nesting is uneven
+        raise ValueError(f"model file has a ragged array under {key!r}")
+    if odd:
+        raise ValueError(f"model file has non-numeric parameters under {key!r}: {odd[0]!r}")
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"model file has a number too large for float64 under {key!r}") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"model file has non-finite parameters under {key!r}")
+    if array.size != math.prod(shape):
+        raise ValueError(f"model file cannot reshape {array.size} values under {key!r} "
+                         f"into shape {shape}")
+    return array.reshape(shape)
 
 
 def _layer_outputs(model: ConfidenceModel, x: np.ndarray):

@@ -26,9 +26,12 @@ the columns and builds records that do not check themselves again, while
 ``table[i]`` builds a record that does.
 
 A reader takes ``_PARSE_CHUNK`` non-blank lines (or CSV rows) at a time,
-and each chunk becomes columns; the CSV reader reads the text's lines as
+and each chunk becomes columns. Each JSON Lines line is decoded once
+(:func:`_json_row`); the CSV reader reads the text's lines as
 ``io.StringIO`` yields them, each ended by a line feed only, without
-copying the text. Each kind's table has one builder, ``_of_columns``,
+copying the text. In both formats a line that does not decode becomes a
+fault row, its :class:`RecordError`, which the chunk's conversion raises
+in the line's place. Each kind's table has one builder, ``_of_columns``,
 which takes one list per record field and pads vector fields into a
 block (:func:`_padded`), NaN for a float and 0 for a label. A chunk
 whose values already have the types the row converter gives (string ids,
@@ -62,8 +65,8 @@ writers of :mod:`uqkit.ccc` use the same two pieces, and
 :func:`write_records_csv` formats floats the same way. Every writer checks
 each row with its kind's ``_first_fault``, as the reader does: a row that
 breaks a record invariant, a feature that is not finite or a label past
-64 bits raises its :class:`RecordError` and nothing is written. Writers do
-not check that ids are unique, which the reader also requires.
+64 bits raises its :class:`RecordError` and nothing is written; so does a
+repeated id (:func:`_unrepeated`), on the line the reader would name.
 """
 
 from __future__ import annotations
@@ -615,54 +618,29 @@ def _parse_tag(raw) -> DistTag:
 
 
 _PARSE_CHUNK = 2048  # non-blank JSON Lines lines, or CSV rows, read at a time
-
-# the bytes a JSON text's nesting depends on (quotes, brackets, backslashes)
-# and the line feeds that join a chunk's lines; every other byte is dropped
-_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b'"[]{}\\\n')
-_NESTING = np.zeros(256, dtype=np.int8)
-_NESTING[list(b"[{")] = 1
-_NESTING[list(b"]}")] = -1
+_decode = json.JSONDecoder().raw_decode
 
 
-def _json_object(row) -> dict:
-    """A JSON Lines row's object: one that its chunk's array gave, or its line decoded alone."""
-    if isinstance(row, dict):
-        return row
-    try:
-        obj = json.loads(row)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"malformed JSON ({exc.msg})") from None
-    except (ValueError, RecursionError) as exc:
-        raise RecordError(f"malformed JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise RecordError("expected a JSON object")
-    return obj
+def _json_row(line: str) -> dict | RecordError:
+    """A JSON Lines line's object, or the :class:`RecordError` that says why it is not one.
 
-
-def _joined_objects(lines: list[str]) -> list[dict] | None:
-    """The lines' objects from one ``json.loads`` of the lines as a JSON array, or None.
-
-    The lines are joined by a comma and a line feed. A JSON string cannot
-    hold a raw line feed, so no string spans two lines, and each line holds
-    exactly one value when the array has one value per line and every
-    joining comma lies outside all brackets. None when the chunk does not
-    parse, a value is not an object, or that cannot be shown (an escaped
-    quote hides where a string ends): then each line is decoded on its own.
+    One ``raw_decode`` takes a line that holds an object and then JSON
+    whitespace alone. Any other line is decoded again by ``json.loads``,
+    which skips leading whitespace and words the fault.
     """
-    joined = ",\n".join(lines)
     try:
-        values = json.loads(f"[{joined}]")
+        obj, end = _decode(line)
     except (ValueError, RecursionError):
-        return None
-    if len(values) != len(lines) or set(map(type, values)) != {dict}:
-        return None
-    marks = joined.encode(errors="surrogatepass").translate(None, _NOT_STRUCTURE)
-    if b'\\"' in marks:
-        return None
-    codes = np.frombuffer(marks, dtype=np.uint8)
-    in_string = np.cumsum(codes == ord('"')) % 2 == 1
-    depth = np.cumsum(np.where(in_string, 0, _NESTING[codes]), dtype=np.int64)
-    return None if depth[codes == ord("\n")].any() else values
+        obj, end = None, 0
+    if type(obj) is dict and not line[end:].strip(" \t\r"):
+        return obj
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return RecordError(f"malformed JSON ({exc.msg})")
+    except (ValueError, RecursionError) as exc:
+        return RecordError(f"malformed JSON ({exc})")
+    return obj if isinstance(obj, dict) else RecordError("expected a JSON object")
 
 
 def _jsonl_chunks(text: str) -> Iterator[tuple[list[int], list]]:
@@ -670,25 +648,25 @@ def _jsonl_chunks(text: str) -> Iterator[tuple[list[int], list]]:
 
     Lines end at a line feed only (a carriage return before it is JSON
     whitespace), so the U+2028, U+2029 and U+0085 that JSON allows raw
-    inside strings stay put. The rows are the run's objects when one
-    ``json.loads`` takes it (:func:`_joined_objects`), else its lines, which
-    the row converters decode one by one (:func:`_json_object`).
+    inside strings stay put. Each line is decoded once (:func:`_json_row`):
+    its row is its object, or a fault row, the :class:`RecordError` of a
+    line that is not one JSON object.
     """
     lines = text.split("\n")
     numbered = [n for n, line in enumerate(lines, start=1) if line and not line.isspace()]
     for start in range(0, len(numbered), _PARSE_CHUNK):
         linenos = numbered[start : start + _PARSE_CHUNK]
-        chunk = [lines[n - 1] for n in linenos]
-        yield linenos, _joined_objects(chunk) or chunk
+        yield linenos, [_json_row(lines[n - 1]) for n in linenos]
 
 
 def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
     """The CSV reader's non-blank rows after the header, ``_PARSE_CHUNK`` rows at a time.
 
     Yields line numbers (the header is line 1, and each row after it counts
-    one line) and rows; a run of blank rows alone yields nothing. A
-    :class:`csv.Error` (a cell over the csv module's size limit, say) becomes
-    the last row, on the reader's line, for the row converter to raise.
+    one line) and rows; a run of blank rows alone yields nothing. A row that
+    the csv module cannot read (a cell over its size limit, say) becomes a
+    fault row, its :class:`RecordError`, on the reader's line; it ends the
+    rows read.
     """
     line = 1
     while True:
@@ -696,11 +674,11 @@ def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
         try:
             block.extend(islice(reader, _PARSE_CHUNK))  # keeps the rows read before an error
         except csv.Error as exc:
-            block.append(exc)
+            block.append(RecordError(f"malformed CSV ({exc})"))
         if not block:
             return
         linenos = [line + j for j, row in enumerate(block, start=1) if row]
-        if isinstance(block[-1], csv.Error):
+        if isinstance(block[-1], RecordError):
             linenos[-1] = reader.line_num
         line += len(block)
         if linenos:
@@ -711,19 +689,20 @@ def _read(chunks, cls: type, canonical, convert):
     """One ``cls`` table of the chunks' rows; the earliest fault in file order raises.
 
     ``chunks`` yields each chunk's line numbers and rows, at least one row
-    per chunk. ``canonical(rows)`` builds the table of a canonical chunk, one
-    whose values all have the types ``convert`` gives, with
-    ``cls._of_columns``, or gives None; a chunk of undecoded lines is not
-    canonical. Any other chunk is converted row by
-    row by ``convert``, whose :class:`RecordError` (a row that does not
-    decode or convert) is that row's fault, and built by ``cls._of_rows``.
-    The columns are then checked by ``cls._first_fault``, and the ids of all
-    rows by one set.
+    per chunk; a row is a decoded line, or a fault row, the
+    :class:`RecordError` of a line that does not decode. ``canonical(rows)``
+    builds the table of a canonical chunk, one whose values all have the
+    types ``convert`` gives, with ``cls._of_columns``, or gives None; a chunk
+    that holds a fault row is not canonical. Any other chunk is converted
+    row by row by ``convert`` and built by ``cls._of_rows``; a fault row, or
+    the :class:`RecordError` of a row that does not convert, is that row's
+    fault. The columns are then checked by ``cls._first_fault``, and the ids
+    of all rows by one set.
     """
     tables, ids, lines = [], [], []
     for chunk_lines, rows in chunks:
         try:  # a failed build (an unknown tag, a label past 64 bits) is not canonical either
-            built = None if isinstance(rows[0], str) else canonical(rows)
+            built = None if RecordError in map(type, rows) else canonical(rows)
         except (TypeError, ValueError, OverflowError):
             built = None
         fault = None
@@ -731,6 +710,8 @@ def _read(chunks, cls: type, canonical, convert):
             converted = []
             for row in rows:
                 try:
+                    if type(row) is RecordError:
+                        raise row
                     converted.append(convert(row))
                 except RecordError as exc:
                     fault = len(converted), str(exc)
@@ -749,7 +730,7 @@ def _read(chunks, cls: type, canonical, convert):
     return cls._stacked(tables)
 
 
-def _unrepeated(ids: list[str], lines: list[int]) -> None:
+def _unrepeated(ids: list[str], lines: Sequence[int]) -> None:
     """Raise for the first id that repeats an earlier one, naming both lines."""
     if len(set(ids)) < len(ids):
         first: dict[str, int] = {}
@@ -824,9 +805,7 @@ def _prediction_row(rid, pred, true, conf, tag, probs) -> tuple:
     return instance_id, pred_i, probs_t, true_i, conf_f, dist_tag
 
 
-def _csv_prediction(row: list[str] | csv.Error, n_cells: int) -> tuple:
-    if isinstance(row, csv.Error):
-        raise RecordError(f"malformed CSV ({row})")
+def _csv_prediction(row: list[str], n_cells: int) -> tuple:
     if len(row) != n_cells:
         raise RecordError(f"expected {n_cells} cells, got {len(row)}")
     cells = [cell if cell != "" else None for cell in row]
@@ -854,8 +833,7 @@ def _jsonl_columns(objects: list[dict]) -> tuple | None:
     return None
 
 
-def _jsonl_prediction(row) -> tuple:
-    obj = _json_object(row)
+def _jsonl_prediction(obj: dict) -> tuple:
     return _prediction_row(*map(obj.get, _FIELDS), obj.get("probs"))
 
 
@@ -915,9 +893,8 @@ def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> Record
                  partial(_csv_columns, n_cells=n_cells), partial(_csv_prediction, n_cells=n_cells))
 
 
-def _multilabel_row(row) -> tuple:
-    """One multi-label row decoded and converted, in :class:`MultiLabelRecord`'s field order."""
-    obj = _json_object(row)
+def _multilabel_row(obj: dict) -> tuple:
+    """One multi-label object converted, in :class:`MultiLabelRecord`'s field order."""
     if obj.get("id") is None or obj.get("probs") is None or obj.get("truths") is None:
         raise RecordError("need 'id', 'probs' and 'truths'")
     instance_id = _record_id(obj["id"])
@@ -958,9 +935,8 @@ def parse_multilabel_records(stream) -> MultiLabelTable:
                  _multilabel_row)
 
 
-def _feature_row(row) -> tuple:
-    """One feature row decoded and converted, in :class:`FeatureRecord`'s field order."""
-    obj = _json_object(row)
+def _feature_row(obj: dict) -> tuple:
+    """One feature object converted, in :class:`FeatureRecord`'s field order."""
     if any(obj.get(key) is None for key in ("id", "features", "true")):
         raise RecordError("need 'id', 'features' and 'true' (the class label)")
     rid = _record_id(obj["id"])
@@ -1036,11 +1012,13 @@ def _array_parts(key: str, values: np.ndarray, present: np.ndarray) -> list:
     return [np.where(has, key + "[", ""), *cells.T, np.where(has, "]", "")]
 
 
-def _written_table(records: Iterable[PredictionRecord]) -> RecordTable:
-    """The records as one table; a given table is checked as parsing checks it."""
+def _written_table(records: Iterable[PredictionRecord], first_line: int) -> RecordTable:
+    """The records as one table, checked as parsing checks it, its first row on ``first_line``."""
     if isinstance(records, RecordTable):
         records._check()
-    return RecordTable.from_records(records)
+    table = RecordTable.from_records(records)
+    _unrepeated(table.ids, range(first_line, first_line + len(table)))
+    return table
 
 
 def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
@@ -1051,7 +1029,7 @@ def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
     ``true``, ``conf`` and ``tag``, in that order and without spaces; a
     row without probabilities, true label or confidence drops that key.
     """
-    table = _written_table(records)
+    table = _written_table(records, 1)
     parts = ['{"id":', list(map(json.dumps, table.ids))]
     if table.probs is not None:
         parts += _array_parts(',"probs":', table.probs, ~np.isnan(table.probs))
@@ -1069,13 +1047,14 @@ def write_feature_records(records: Sequence[FeatureRecord]) -> str:
     ``{"id", "features", "true"}`` without spaces.
 
     The records are checked as :func:`parse_feature_records` checks them, so a
-    feature that is not finite or a label past 64 bits raises its
-    :class:`RecordError` and nothing is written.
+    feature that is not finite, a label past 64 bits or a repeated id raises
+    its :class:`RecordError` and nothing is written.
     """
     table, (given,) = FeatureTable._of_columns(
         [rec.instance_id for rec in records], [rec.features for rec in records],
         [rec.true_label for rec in records])
     table._check(given)
+    _unrepeated(table.ids, range(1, len(table) + 1))
     return _interleaved([
         '{"id":', list(map(json.dumps, table.ids)),
         *_array_parts(',"features":', table.features, given),
@@ -1086,7 +1065,7 @@ def write_feature_records(records: Sequence[FeatureRecord]) -> str:
 
 def write_records_csv(records: Iterable[PredictionRecord]) -> str:
     """Serialize records to CSV; probability columns sized to the widest record."""
-    table = _written_table(records)
+    table = _written_table(records, 2)  # after the header
     counts = table.prob_counts()
     k = int(counts.max(initial=0))
     if ((counts > 0) & (counts != k)).any():

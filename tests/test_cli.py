@@ -7,6 +7,7 @@ from uqkit import cli
 from uqkit.cli import main
 from uqkit.distill import ConfidenceModel
 from uqkit.records import RecordFormat, parse_records
+from uqkit.taskio import collect_member_paths
 
 
 def run(capsys, *argv):
@@ -277,6 +278,26 @@ class TestEnsemble:
         assert code == 1
         assert "missing instance id" in err
 
+    @pytest.mark.parametrize("member, message", [
+        ("empty-dir", "no member record files in directory {path}"),
+        ("missing.jsonl", "member path {path} does not exist"),
+        ("empty.jsonl", "need at least one non-empty ensemble member"),
+    ], ids=["empty-directory", "missing-path", "empty-file"])
+    def test_no_member_rows_is_one_error_line(self, tmp_path, capsys, member, message):
+        path = tmp_path / member
+        if member == "empty-dir":
+            path.mkdir()
+        elif member == "empty.jsonl":
+            path.write_text("")
+        out = tmp_path / "merged.jsonl"
+        code, stdout, err = run(capsys, "ensemble", str(path), "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {message.format(path=path)}\n")
+        assert not out.exists()
+
+    def test_no_member_paths_given(self):
+        with pytest.raises(FileNotFoundError, match="^no ensemble member files given$"):
+            collect_member_paths([])
+
 
 @pytest.fixture(scope="module")
 def task_dir(tmp_path_factory):
@@ -511,6 +532,11 @@ class TestMembersTheReaderAccepts:
             assert "error" not in err
 
 
+# a one-layer model file of 4 inputs, with the text of its weight and bias arrays filled in
+MODEL_4_1 = ('{"format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh", '
+             '"weights": [%s], "biases": [%s]}')
+
+
 class TestDistillInputErrors:
     """Well-formed files with wrong contents exit 1 with one error line."""
 
@@ -739,9 +765,24 @@ class TestDistillInputErrors:
             ({"format": "udist-model-v1", "layer_sizes": [4, 1],
               "weights": [[0.0, 0.0, 0.0, 0.0]], "biases": [[0.0]]},
              "unsupported model activation None"),
+            (MODEL_4_1 % ("[0, 0, [1], 0]", "[0.0]"), "has a ragged array under 'weights'"),
+            (MODEL_4_1 % ("[0.0, 0.0, 0.0]", "[0.0]"),
+             "cannot reshape 3 values under 'weights' into shape (4, 1)"),
+            (MODEL_4_1 % ("[0, 0, 0, 0]", "[0.0, 0.0]"),
+             "cannot reshape 2 values under 'biases' into shape (1,)"),
+            (MODEL_4_1 % ("[0, null, 0, 0]", "[0.0]"),
+             "has non-numeric parameters under 'weights': None"),
+            (MODEL_4_1 % ("[0, 0, 0, 0]", "null"),
+             "has non-numeric parameters under 'biases': None"),
+            (MODEL_4_1 % (f"[0, 1{'0' * 400}, 0, 0]", "[0.0]"),
+             "has a number too large for float64 under 'weights'"),
+            (MODEL_4_1 % ("[0, 1e400, 0, 0]", "[0.0]"),
+             "has non-finite parameters under 'weights'"),
+            (MODEL_4_1 % ("[0, 0, 0, 0]", "[NaN]"), "has non-finite parameters under 'biases'"),
         ],
         ids=["missing-key", "not-object", "wrong-shape", "negative-size", "deep-nesting",
-             "activation-relu", "activation-missing"],
+             "activation-relu", "activation-missing", "ragged", "weights-size", "biases-size",
+             "null", "null-array", "huge-integer", "huge-float", "nan"],
     )
     def test_predict_model_schema_errors(self, two_class_task, tmp_path, capsys, model_doc,
                                          fragment):
@@ -776,6 +817,27 @@ class TestDistillInputErrors:
         )
         self.assert_one_error_line(code, err, fragment)
         assert not out_path.exists()
+
+    def test_predict_nested_parameters_read_as_their_values(self, two_class_task, tmp_path,
+                                                           capsys):
+        # nested past the 32 dimensions numpy's flat iterator takes, one value per cell
+        deep = 0.25
+        for _ in range(40):
+            deep = [deep]
+        feats, member = two_class_task(1)
+        outs = []
+        for name, weights in (("flat", [0.25] * 4), ("deep", [deep] * 4)):
+            model_path, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+            model_path.write_text(json.dumps({
+                "format": "udist-model-v1", "layer_sizes": [4, 1], "activation": "tanh",
+                "weights": [weights], "biases": [[0.0]]}))
+            code, _, err = run(
+                capsys, "distill", "--predict", "--model", str(model_path), "--data", str(feats),
+                "--ensemble-dirs", str(member), "--out", str(out_path),
+            )
+            assert (code, err) == (0, "")
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestSeeds:

@@ -207,7 +207,16 @@ def test_feature_writer_matches_per_record_dumps(rows):
                for rid, features, y in rows]
     bad = next((rec for rec in records if not all(map(math.isfinite, rec.features))), None)
     if bad is None:
-        assert write_feature_records(records) == oracles.features_jsonl(records)
+        text = oracles.features_jsonl(records)
+        if len({rec.instance_id for rec in records}) == len(records):
+            assert write_feature_records(records) == text
+            return
+        # a repeated id raises what reading the file raises
+        with pytest.raises(RecordError) as written:
+            write_feature_records(records)
+        with pytest.raises(RecordError) as read:
+            parse_feature_records(text)
+        assert str(written.value) == str(read.value)
         return
     # the first record with a feature that is not finite raises what reading it raises
     with pytest.raises(RecordError) as written:

@@ -283,11 +283,60 @@ def test_probability_sums_at_the_tolerance_edge():
     ids=["brackets", "string", "split-object"],
 )
 def test_lines_that_only_parse_joined_are_malformed(lines):
-    assert records._joined_objects(lines) is None
+    assert RecordError in map(type, map(records._json_row, lines))
     text = "\n".join(lines)
     want = outcome(lambda: list(oracles.jsonl_objects(text)))
     assert want.startswith("RecordError: line 1: malformed JSON")
     assert outcome(lambda: parse_records(text)) == want
+
+
+def test_escaped_quotes_take_the_column_path():
+    rows = [{"id": f'say "{i}" \\', "probs": [0.25, 0.75], "true": i % 2, "conf": 0.5}
+            for i in range(5)]
+    text = as_jsonl(rows)
+    assert b'\\"' in text
+    with oracles.counting(records, "_prediction_row") as converted:
+        table = parse_records(text)
+    assert not converted
+    assert rows_of(table) == rows_of(oracles.scalar_records(text.decode()))
+
+
+# line bodies around valid records: JSON whitespace and other padding, escaped quotes, values
+# that are not objects, and halves of objects that parse only when lines are joined
+LINE_BODIES = [
+    '{"id":"a\\"b","pred":0,"true":0,"conf":0.5}',
+    '{"id":"c\\\\","probs":[0.5,0.5],"true":1,"conf":NaN}',
+    '{"id":"\\"d\\"","pred":1,"true":1}',
+    '[{"id":"e","pred":0,"true":0}]', '1', '"s"', 'null', '{"id":',
+    '{"a":[{}', '{}]}', '{},{}', '{"b":1},{"c":1}', '{"a":1},{"b":2', '"c":3}',
+]
+PADDING = st.text(st.sampled_from(" \t\r\x0b\x0c"), max_size=2)
+
+
+@st.composite
+def padded_lines(draw):
+    """JSON Lines text: valid records with distinct ids, among the bodies above, padded."""
+    lines = []
+    for i in range(draw(st.integers(1, 8))):
+        body = draw(st.one_of(
+            st.builds(lambda q: json.dumps({"id": f'r{i}{q}', "pred": 0, "true": 0, "conf": 0.5}),
+                      st.sampled_from(["", '"', "\\", '\\"'])),
+            st.sampled_from(LINE_BODIES), st.just("")))
+        lines.append(draw(PADDING) + body + draw(PADDING))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=padded_lines(), chunk=st.sampled_from([1, 2, 3]))
+def test_each_line_decodes_as_the_reference_decodes_it(text, chunk):
+    saved = records._PARSE_CHUNK
+    records._PARSE_CHUNK = chunk
+    try:
+        want = outcome(lambda: rows_of(oracles.scalar_records(text)))
+        assert outcome(lambda: rows_of(parse_records(text))) == want
+    finally:
+        records._PARSE_CHUNK = saved
 
 
 def test_table_reads_as_a_record_sequence():

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from uqkit.records import (
     ConfidenceSource,
     DistTag,
+    FeatureRecord,
     MultiLabelRecord,
     OutcomeSet,
     PredictionRecord,
@@ -16,6 +18,7 @@ from uqkit.records import (
     derive_outcomes,
     parse_multilabel_records,
     parse_records,
+    write_feature_records,
     write_records_csv,
     write_records_jsonl,
 )
@@ -118,6 +121,20 @@ class TestParsing:
         with pytest.raises(RecordError, match="line 3: malformed CSV"):
             parse_records(text, RecordFormat.CSV)
         assert csv.field_size_limit() == limit
+
+    def test_csv_oversized_header_cell_is_a_record_error(self):
+        limit = csv.field_size_limit()
+        text = "id,pred,true,conf," + "t" * (limit + 1) + "\na,0,0,0.5,id\n"
+        with pytest.raises(RecordError) as raised:
+            parse_records(text, RecordFormat.CSV)
+        assert str(raised.value) == (
+            f"line 1: malformed CSV (field larger than field limit ({limit}))")
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO], ids=["bytes", "text"])
+    def test_file_objects_read_as_their_contents(self, stream):
+        text = '{"id":"a","pred":0,"true":0,"conf":0.5}\n'
+        data = text.encode() if stream is io.BytesIO else text
+        assert parse_records(stream(data)) == parse_records(text) == [rec("a", conf=0.5)]
 
     @pytest.mark.parametrize(
         "probs, true, message",
@@ -243,6 +260,27 @@ class TestRoundTrip:
         ]
         again = parse_records(write_records_csv(records), RecordFormat.CSV)
         assert again == records
+
+    @pytest.mark.parametrize("write, fmt, first", [
+        (write_records_jsonl, RecordFormat.JSON_LINES, 1),
+        (write_records_csv, RecordFormat.CSV, 2),  # the header is line 1
+    ], ids=["jsonl", "csv"])
+    def test_writers_reject_repeated_ids(self, write, fmt, first):
+        records = [rec("a", conf=0.5), rec("b", conf=0.5), rec("a", conf=0.25)]
+        message = f"line {first + 2}: duplicate id 'a' (first on line {first})"
+        with pytest.raises(RecordError) as written:
+            write(records)
+        assert str(written.value) == message
+        # the file the writer refuses, written in two parts, and what reading it raises
+        tail = write(records[2:])
+        text = write(records[:2]) + (tail.split("\n", 1)[1] if fmt is RecordFormat.CSV else tail)
+        with pytest.raises(RecordError) as read:
+            parse_records(text, fmt)
+        assert str(read.value) == message
+
+    def test_feature_writer_rejects_repeated_ids(self):
+        with pytest.raises(RecordError, match=r"^line 2: duplicate id 'a' \(first on line 1\)$"):
+            write_feature_records([FeatureRecord("a", (1.0,), 0)] * 2)
 
     def test_csv_rejects_mixed_class_counts(self):
         records = [rec("a", probs=(0.7, 0.3)), rec("b", probs=(0.2, 0.3, 0.5), pred=2)]

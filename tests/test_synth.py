@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestPortableRng:
         # beta(a, a) piles up at the ends as a -> 0: 99.4 % (a = 0.001) and 99.95 % (a = 0.0001)
         # of these draws lie within 0.01 of 0 or 1; U^(1/a) misread as U^a gives 79 % and 16 %
         assert np.mean(np.minimum(draws, 1.0 - draws) < 0.01) >= 0.95
+
+    def test_log_gamma_mean_is_digamma(self):
+        # E[log G] = psi(1) = -0.5772... for G ~ Gamma(1), with variance psi'(1) = pi^2 / 6
+        # (Marsaglia & Tsang, ACM TOMS 2000); a squeeze that accepts points the exact test
+        # rejects moves the mean by more than 10 standard errors
+        rng = PortableRng(11)
+        n = 20_000
+        logs = np.array([rng._gamma_and_log(1.0)[1] for _ in range(n)])
+        z = (logs.mean() + 0.5772156649015329) / (math.pi / math.sqrt(6 * n))
+        assert abs(z) < 4
 
     def test_permutation_is_a_permutation(self):
         rng = PortableRng(4)
