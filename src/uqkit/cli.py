@@ -3,15 +3,16 @@
 Subcommands: ``eval`` (AUCCC report), ``curve`` (CCC curve CSV),
 ``ensemble`` (average + temperature-scale member record files),
 ``distill`` (train / apply a confidence model), ``synth`` (seeded data
-generation). Machine-readable results go to standard output, diagnostics
-to standard error. Exit codes: 0 success, 1 I/O or parse errors, 2
-well-formed but degenerate inputs (outcomes with a single correctness
-class).
+generation). Each command returns its outputs by target (``-`` is standard
+output) and its notes for standard error; ``main`` writes every output or
+none (``_emit``), then the notes. Exit codes: 0 success, 1 I/O or parse
+errors, 2 well-formed but degenerate inputs (one correctness class).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -74,29 +75,38 @@ from .taskio import (
 MODES = ("standard", "ood-unified", "io-auroc", "multi-label")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _emit(outputs: dict[str, str]) -> None:
+    """Write every output or none (``-`` is stdout); a non-regular target fails up front.
 
-
-def _write_all(texts: dict[Path, str]) -> None:
-    """Write every file or none: each under a temporary name beside it, renamed once all are.
-
-    A target that exists and is not a regular file is an error before anything is written.
+    Files go to temporaries beside the files they land in (through symlinks), then stdout
+    is written and flushed, then the temporaries are renamed; a failure removes them.
     """
-    for path in texts:
-        if path.exists() and not path.is_file():
-            raise OSError(f"cannot write {path}: it exists and is not a regular file")
-    temporaries = []
+    targets = {name: Path(os.path.realpath(name)) for name in outputs if name != "-"}
+    for name, target in targets.items():  # a link left unresolved is a loop
+        if target.is_symlink() or target.exists() and not target.is_file():
+            raise OSError(f"cannot write {name}: it exists and is not a regular file")
+    temporaries = {}
     try:
-        for path, text in texts.items():
-            temporaries.append(path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}"))
-            with temporaries[-1].open("x") as file:
-                file.write(text)
-        for path, temporary in zip(texts, temporaries):
-            os.replace(temporary, path)
+        for name, target in targets.items():
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}")
+            temporaries[temporary] = target
+            try:
+                with temporary.open("x") as file:
+                    file.write(outputs[name])
+            except OSError as exc:
+                exc.filename = name  # the error names the target, never the temporary
+                raise
+        if "-" in outputs:
+            try:
+                sys.stdout.write(outputs["-"])
+                sys.stdout.flush()
+            except OSError:
+                # the flush at exit then drains to nowhere; a capture stream has no descriptor
+                with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                raise
+        for temporary, target in temporaries.items():
+            os.replace(temporary, target)
     except BaseException:
         for temporary in temporaries:
             temporary.unlink(missing_ok=True)
@@ -129,27 +139,26 @@ def _load_outcomes(args):
     raise ValueError(f"unknown mode: {args.mode!r}")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
+    if args.curve_out == "-":
+        raise ValueError("--curve-out: - is standard output, which carries the JSON report")
     outcomes = _load_outcomes(args)
     report = evaluate(outcomes)
     scores = score_outcomes(outcomes)
     coordinates = coordinate_text(report.curve)  # shared by the CSV and the JSON
-    if args.curve_out:
-        Path(args.curve_out).write_text(curve_to_csv(report.curve, coordinates))
+    outputs = {args.curve_out: curve_to_csv(report.curve, coordinates)} if args.curve_out else {}
     # the keys and separators of json.dumps(report.to_dict() | scores), with the
     # points, which make up nearly all of it, spliced in as text
     fields = {"auccc": report.auccc, "n_correct": report.n_correct,
               "n_incorrect": report.n_incorrect, "points": None,
               "cross_entropy": scores.cross_entropy, "brier": scores.brier}
     head, _, tail = json.dumps(fields).partition('"points": null')
-    sys.stdout.write(f'{head}"points": {points_json(coordinates)}{tail}\n')
-    return 0
+    outputs["-"] = f'{head}"points": {points_json(coordinates)}{tail}\n'
+    return outputs, []
 
 
-def cmd_curve(args) -> int:
-    outcomes = _load_outcomes(args)
-    _emit(curve_to_csv(ccc_curve(outcomes)), args.out)
-    return 0
+def cmd_curve(args):
+    return {args.out: curve_to_csv(ccc_curve(_load_outcomes(args)))}, []
 
 
 def _probability_records(ids, probs, true, ood, confidence=None, labelled=False) -> RecordTable:
@@ -174,12 +183,11 @@ def _probability_records(ids, probs, true, ood, confidence=None, labelled=False)
     return table
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args):
     members = load_member_records(collect_member_paths(args.inputs))
     ids, probs, true, ood = align_members(members)
     softened = temperature_scale(average_probs(probs), args.temperature)
-    _emit(write_records_jsonl(_probability_records(ids, softened, true, ood)), args.out)
-    return 0
+    return {args.out: write_records_jsonl(_probability_records(ids, softened, true, ood))}, []
 
 
 def _aligned_task(feature_path: str, member_paths: list[str]):
@@ -210,7 +218,7 @@ def _aligned_task(feature_path: str, member_paths: list[str]):
     return feats.ids, feats.features, probs[take], feats.true, ood[take]
 
 
-def cmd_distill(args) -> int:
+def cmd_distill(args):
     if args.predict:
         if args.model is None or args.data is None:
             raise ValueError("--predict needs --model and --data")
@@ -224,8 +232,7 @@ def cmd_distill(args) -> int:
             raise ValueError(f"{args.model}: the model's forward pass fails ({exc})") from None
         softened = inputs[:, -member_probs.shape[-1] :]
         records = _probability_records(ids, softened, labels, ood, conf, labelled=True)
-        _emit(write_records_jsonl(records), args.out)
-        return 0
+        return {"-" if args.out is None else args.out: write_records_jsonl(records)}, []
 
     if args.train is None:
         raise ValueError("either --train or --predict is required")
@@ -240,11 +247,9 @@ def cmd_distill(args) -> int:
     _ids, features, member_probs, labels, _ood = _aligned_task(args.train, args.ensemble_dirs)
     data = make_cascade_examples(features, member_probs, labels, args.temperature_train)
     model = train_confidence_model(data, config)
-    for epoch, loss in enumerate(model.epoch_losses):
-        print(f"epoch {epoch}: mean confidence loss {loss:.6f}", file=sys.stderr)
-    Path(args.out).write_text(model.to_json())
-    print(f"wrote model to {args.out}", file=sys.stderr)
-    return 0
+    notes = [f"epoch {epoch}: mean confidence loss {loss:.6f}"
+             for epoch, loss in enumerate(model.epoch_losses)]
+    return {args.out: model.to_json()}, notes + [f"wrote model to {args.out}"]
 
 
 def _confidence_dist(flag: str, spec: str) -> ConfidenceDist:
@@ -255,7 +260,7 @@ def _confidence_dist(flag: str, spec: str) -> ConfidenceDist:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def cmd_synth_outcomes(args) -> int:
+def cmd_synth_outcomes(args):
     config = SynthOutcomeConfig(
         n_correct=args.n_correct,
         n_incorrect=args.n_incorrect,
@@ -269,11 +274,10 @@ def cmd_synth_outcomes(args) -> int:
     table = RecordTable(ids=[f"s{i:06d}" for i in range(n)], pred=np.zeros(n, dtype=np.int64),
                         true=(~outcomes.correct).astype(np.int64), conf=outcomes.confidence,
                         ood=np.zeros(n, dtype=bool), probs=None)
-    _emit(write_records_jsonl(table), args.out)
-    return 0
+    return {args.out: write_records_jsonl(table)}, []
 
 
-def cmd_synth_udist(args) -> int:
+def cmd_synth_udist(args):
     config = SynthUdistConfig(
         n_train=args.n_train,
         n_test=args.n_test,
@@ -285,24 +289,21 @@ def cmd_synth_udist(args) -> int:
         seed=args.seed,
     )
     task = gen_udist_task(config)
-    texts = {}  # every file's text, built before any is written
+    out_dir = Path(args.out_dir)
+    texts = {}
     for name, split in (("train", task.train), ("test", task.test)):
         ids = [f"{name}-{i:05d}" for i in range(len(split))]
         feats = [
             FeatureRecord(instance_id=rid, features=tuple(row), true_label=label)
             for rid, row, label in zip(ids, split.features.tolist(), split.labels.tolist())
         ]
-        texts[f"{name}.features.jsonl"] = write_feature_records(feats)
+        texts[str(out_dir / f"{name}.features.jsonl")] = write_feature_records(feats)
         ood = np.zeros(len(ids), dtype=bool)
         for m in range(config.ensemble_size):
             recs = _probability_records(ids, split.member_probs[:, m], split.labels, ood)
-            texts[f"{name}.member{m}.jsonl"] = write_records_jsonl(recs)
-    out_dir = Path(args.out_dir)
+            texts[str(out_dir / f"{name}.member{m}.jsonl")] = write_records_jsonl(recs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_all({out_dir / name: text for name, text in texts.items()})
-    for name in texts:
-        print(f"wrote {out_dir / name}", file=sys.stderr)
-    return 0
+    return texts, [f"wrote {name}" for name in texts]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="CCC curve as CSV")
     add_eval_flags(p_curve)
-    p_curve.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_curve.add_argument("--out", default="-", help="output path (default: stdout)")
     p_curve.set_defaults(func=cmd_curve)
 
     p_ens = sub.add_parser(
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ens.add_argument("inputs", nargs="+", help="member record files or directories of them")
     p_ens.add_argument("--temperature", type=float, default=3.0, help="softening temperature")
-    p_ens.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_ens.add_argument("--out", default="-", help="output path (default: stdout)")
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_dist = sub.add_parser("distill", help="train or apply a cascade confidence model")
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_out.add_argument("--incorrect-dist", default="uniform:0,1")
     p_out.add_argument("--seed", type=int, default=SynthOutcomeConfig.seed)
-    p_out.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_out.add_argument("--out", default="-", help="output path (default: stdout)")
     p_out.set_defaults(func=cmd_synth_outcomes)
 
     p_ud = synth_sub.add_parser("udist", help="planted-signal distillation task files")
@@ -417,7 +418,8 @@ def main(argv=None) -> int:
         # degenerate data here, so remap
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        outputs, notes = args.func(args)
+        _emit(outputs)
     except DegenerateOutcomesError as exc:
         print(f"error: degenerate outcomes: {exc}", file=sys.stderr)
         return 2
@@ -427,6 +429,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    sys.stderr.write("".join(f"{note}\n" for note in notes))
+    return 0
 
 
 if __name__ == "__main__":

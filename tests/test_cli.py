@@ -377,7 +377,7 @@ class TestSynthCli:
         # a lone surrogate cannot be encoded, so the second file fails while being written
         texts = {tmp_path / "a.jsonl": "{}\n", tmp_path / "b.jsonl": "\udc80", tmp_path / "c": ""}
         with pytest.raises(UnicodeEncodeError):
-            cli._write_all(texts)
+            cli._emit({str(path): text for path, text in texts.items()})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--signal-strength", "1e308"),

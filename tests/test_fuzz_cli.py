@@ -3,7 +3,7 @@
 Each example takes a valid file of one kind, mutates its bytes, runs the
 command that reads it and checks that the command exits 0, 1 or 2 and,
 when it fails, prints exactly one ``error:`` line, no traceback, and
-leaves no output file behind.
+leaves no output file or temporary behind.
 """
 
 import contextlib
@@ -146,7 +146,9 @@ def run_case(case: str, data: bytes) -> int:
         if code != 0:
             # outside a test harness a warning would be one more stderr line
             assert err.startswith("error: ") and err.count("\n") == 1 and not caught, (err, caught)
-            assert not out.exists()
+        # the inputs, and the output only on success: no output or temporary left by a failure
+        left = {p.name for p in Path(tmp).iterdir()}
+        assert left == set(CLEAN) | {name} | ({out.name} if code == 0 else set()), left
         return code
 
 
