@@ -33,7 +33,9 @@ copying the text. In both formats a line that does not decode becomes a
 fault row, its :class:`RecordError`, which the chunk's conversion raises
 in the line's place. Each kind's table has one builder, ``_of_columns``,
 which takes one list per record field and pads vector fields into a
-block (:func:`_padded`), NaN for a float and 0 for a label. A chunk
+block (:func:`_padded`), NaN for a float and 0 for a label; a missing
+prediction ``pred`` is filled there alone, with the first argmax of the
+row's given probabilities, so both paths below fill it alike. A chunk
 whose values already have the types the row converter gives (string ids,
 integer labels, lists of numbers, of any lengths) skips the converter;
 any other chunk is converted row by row (string numbers, numeric ids,
@@ -784,7 +786,8 @@ def _record_id(rid) -> str:
 def _prediction_row(rid, pred, true, conf, tag, probs) -> tuple:
     """One prediction record's raw fields converted, in :class:`PredictionRecord`'s order.
 
-    Absent fields are None; a missing ``pred`` is the first argmax of ``probs``.
+    Absent fields are None, a missing ``pred`` too: :meth:`RecordTable._of_columns`
+    fills it with the first argmax of ``probs``, as it does for a canonical chunk.
     """
     if rid is None:
         raise RecordError("missing 'id'")
@@ -795,7 +798,7 @@ def _prediction_row(rid, pred, true, conf, tag, probs) -> tuple:
     _no_booleans(pred, true, conf, probs)
     try:
         probs_t = tuple(float(p) for p in _array(probs)) if probs is not None else None
-        pred_i = int(pred) if pred is not None else first_argmax(probs_t)
+        pred_i = int(pred) if pred is not None else None
         true_i = int(true) if true is not None else None
         conf_f = float(conf) if conf is not None else None
     except (TypeError, ValueError, OverflowError):

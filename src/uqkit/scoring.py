@@ -23,7 +23,6 @@ LOG_CLAMP = 1e-7
 class ScoreReport:
     cross_entropy: float
     brier: float
-    n: int
 
 
 def _clamped_log_loss(s, t) -> tuple[np.ndarray, np.ndarray]:
@@ -56,5 +55,4 @@ def score_outcomes(outcomes: OutcomeSet) -> ScoreReport:
     return ScoreReport(
         cross_entropy=cross_entropy(outcomes),
         brier=brier_score(outcomes),
-        n=len(outcomes),
     )

@@ -64,18 +64,6 @@ class ConfidenceDist:
             raise ValueError(f"unknown distribution kind: {self.kind!r}")
 
     @classmethod
-    def uniform(cls, a: float, b: float) -> "ConfidenceDist":
-        return cls("uniform", (float(a), float(b)))
-
-    @classmethod
-    def beta(cls, alpha: float, beta: float) -> "ConfidenceDist":
-        return cls("beta", (float(alpha), float(beta)))
-
-    @classmethod
-    def constant(cls, c: float) -> "ConfidenceDist":
-        return cls("constant", (float(c),))
-
-    @classmethod
     def parse(cls, text: str) -> "ConfidenceDist":
         """Parse "uniform:a,b", "beta:alpha,beta" or "constant:c"."""
         kind, _, rest = text.partition(":")
@@ -169,7 +157,6 @@ class UdistSplit:
 class UdistTask:
     train: UdistSplit
     test: UdistSplit
-    config: SynthUdistConfig
 
 
 def _gen_split(n: int, means: np.ndarray, config: SynthUdistConfig, rng: PortableRng) -> UdistSplit:
@@ -227,4 +214,4 @@ def gen_udist_task(config: SynthUdistConfig = DEFAULT_UDIST_CONFIG) -> UdistTask
     )
     train = _gen_split(config.n_train, means, config, rng)
     test = _gen_split(config.n_test, means, config, rng)
-    return UdistTask(train=train, test=test, config=config)
+    return UdistTask(train=train, test=test)

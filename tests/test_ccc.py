@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import pairwise_auccc
 from uqkit import ccc
 from uqkit.ccc import (
+    CCCCurve,
     DegenerateOutcomesError,
     auccc_rank,
     auccc_trapezoid,
@@ -77,6 +78,24 @@ class TestCccCurve:
         assert np.all(np.diff(curve.x) >= 0)
         assert np.all(np.diff(curve.y) >= 0)
         assert np.all((curve.x >= 0) & (curve.x <= 1) & (curve.y >= 0) & (curve.y <= 1))
+
+    @pytest.mark.parametrize(
+        "x, y, thresholds, message",
+        [
+            ([0.0, 1.0], [0.0, 1.0], [math.inf], "curve arrays must have equal length"),
+            ([0.0], [0.0], [math.inf], "curve needs at least the two endpoints"),
+            ([0.0, 0.5], [0.0, 1.0], [math.inf, 0.5], r"curve must run from \(0, 0\) to \(1, 1\)"),
+            ([0.5, 1.0], [0.0, 1.0], [math.inf, 0.5], r"curve must run from \(0, 0\) to \(1, 1\)"),
+            ([0.0, 0.6, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0], [math.inf, 0.7, 0.6, 0.5],
+             "curve coordinates must be non-decreasing"),
+            ([0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0], [math.inf, 0.7, 0.6, 0.5],
+             "curve coordinates must be non-decreasing"),
+        ],
+        ids=["lengths", "one-point", "end", "start", "x-falls", "y-falls"],
+    )
+    def test_constructor_rejects_malformed_curves(self, x, y, thresholds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CCCCurve(x, y, thresholds)
 
 
 class TestAuccc:
@@ -192,6 +211,12 @@ class TestEvaluate:
     def test_degenerate_propagates(self):
         with pytest.raises(DegenerateOutcomesError):
             evaluate(OutcomeSet([True], [0.9]))
+
+    def test_disagreeing_routes_are_a_bug(self, monkeypatch):
+        monkeypatch.setattr(ccc, "auccc_rank", lambda outcomes: 0.75 + 1e-9)
+        with pytest.raises(RuntimeError, match="^AUCCC computations disagree: trapezoid 0.75 vs "
+                                               "rank 0.750000001$"):
+            evaluate(FOUR)
 
     def test_to_dict(self):
         d = evaluate(FOUR).to_dict()

@@ -458,6 +458,15 @@ class TestDistillCli:
         assert code == 1
         assert "--out" in err
 
+    def test_train_or_predict_is_required(self, task_dir, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        code, stdout, err = run(
+            capsys, "distill", "--ensemble-dirs", *member_args(task_dir, "train"),
+            "--out", str(out),
+        )
+        assert (code, stdout, err) == (1, "", "error: either --train or --predict is required\n")
+        assert not out.exists()
+
     def test_predict_probs_equal_ensemble_probs(self, task_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         code, _, err = run(

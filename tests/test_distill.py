@@ -164,6 +164,25 @@ class TestModel:
         for b1, b2 in zip(model.biases, again.biases):
             assert b1.tobytes() == b2.tobytes()
 
+    @pytest.mark.parametrize(
+        "weights, biases, message",
+        [
+            ([], [], "need matching, non-empty weight and bias lists"),
+            ([np.zeros((3, 1))], [], "need matching, non-empty weight and bias lists"),
+            ([np.zeros(3)], [np.zeros(1)], "layer 0: inconsistent parameter shapes"),
+            ([np.zeros((3, 2))], [np.zeros(3)], "layer 0: inconsistent parameter shapes"),
+            ([np.zeros((3, 2)), np.zeros((4, 1))], [np.zeros(2), np.zeros(1)],
+             "layer 1: input width does not match previous layer"),
+            ([np.full((3, 1), np.nan)], [np.zeros(1)], "layer 0: non-finite parameters"),
+            ([np.zeros((3, 2)), np.zeros((2, 1))], [np.zeros(2), np.full(1, np.inf)],
+             "layer 1: non-finite parameters"),
+        ],
+        ids=["no-layers", "bias-missing", "weights-1d", "bias-width", "chain", "nan", "inf"],
+    )
+    def test_constructor_rejects_inconsistent_parameters(self, weights, biases, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConfidenceModel(weights, biases)
+
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             ConfidenceModel.from_json('{"format": "something-else"}')

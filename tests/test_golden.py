@@ -4,12 +4,15 @@ The inputs are small record, multi-label and feature texts written out
 below: canonical rows, and odd ones (numeric ids, string numbers, ragged
 vectors, rows without probabilities, ``ood`` tags, CRLF line ends). Each
 parsed file is written back with every writer that takes it, and ``curve``
-runs on each file in every mode with each confidence source. The sha256 of
-each output is pinned in ``DIGESTS``, or the error line where a writer or a
-command refuses the file. None of these outputs takes a transcendental
-function, whose kernel numpy picks by CPU, or a BLAS call, so the digests
-hold on any machine. ``eval``'s JSON is left out: its cross entropy takes
-numpy's ``log``.
+runs on each file in every mode with each confidence source. ``synth
+outcomes`` writes two more files, with uniform and with constant
+confidences, and ``curve`` runs on each in every mode. The sha256 of each
+output is pinned in ``DIGESTS``, or the error line where a writer or a
+command refuses the file. None of these outputs takes a BLAS call or a
+transcendental function, whose last bits depend on the CPU numpy runs on
+or on the libm: the generator's uniform draws take integer and IEEE
+arithmetic only. So the digests hold on any machine. ``eval``'s JSON is
+left out: its cross entropy takes numpy's ``log``.
 
 A change that means to alter one of these outputs updates its digest and
 says which and why.
@@ -115,6 +118,12 @@ FEATURES = {
     ),
 }
 
+# synth outcomes --n-correct 500 --n-incorrect 300 --seed 3, with these specs
+SYNTHESIZED = {
+    "synth uniform": (),
+    "synth constant": ("--correct-dist", "constant:0.8", "--incorrect-dist", "constant:0.3"),
+}
+
 MODES = ("standard", "ood-unified", "io-auroc")
 SOURCES = ("explicit", "max-softmax")
 
@@ -153,6 +162,14 @@ DIGESTS = {
     'odd.csv curve io-auroc max-softmax': "exit 1: error: record 'b': no probability vector",
     'canonical.ml.jsonl curve multi-label': 'c88af4c1dcc90176955beb3199e10fcc5c78d580573ea8085b02eb4033ad1c6f',
     'odd.ml.jsonl curve multi-label': '920baba11f5e234b6d32b9446d9ad7f94ce6d5ffaef50e27cc33c9eddc02d510',
+    'synth uniform': 'c2e9284a680d44fbe3d3d2951099707df9d94d7b3b34d97c38458215bfe2c7d6',
+    'synth uniform curve standard': 'deb5ce8c45266459f78cc85f73541bf7a6f915b7bd4e791ffd7688b7e6eabda9',
+    'synth uniform curve ood-unified': 'deb5ce8c45266459f78cc85f73541bf7a6f915b7bd4e791ffd7688b7e6eabda9',
+    'synth uniform curve io-auroc': 'exit 2: error: degenerate outcomes: all outcomes are correct: correct-reject rate is undefined',
+    'synth constant': '64db624e7e40658b66220887cb57c00de7c8ca0f156e4f56b7d58e4723a0f228',
+    'synth constant curve standard': '649a992c60e8ee2e93ef37e2367b698c53935b0a0fe925b9ab354cb1b529b4b4',
+    'synth constant curve ood-unified': '649a992c60e8ee2e93ef37e2367b698c53935b0a0fe925b9ab354cb1b529b4b4',
+    'synth constant curve io-auroc': 'exit 2: error: degenerate outcomes: all outcomes are correct: correct-reject rate is undefined',
     'canonical.features.jsonl features': '60def70e4a855e990e93b4cea5b59230bc2774cccd15ffbfd1353184c41b1014',
     'odd.features.jsonl features': '62b2f58abb11620a3f4bf2271d9e24eddc626f99c01853066ca769492d1bf142',
 }
@@ -200,6 +217,14 @@ def outputs(tmp_path, capsys) -> dict[str, str]:
         (tmp_path / name).write_bytes(text.encode())
         got[f"{name} curve multi-label"] = cli_digest(
             capsys, "curve", str(tmp_path / name), "--mode", "multi-label")
+    for name, specs in SYNTHESIZED.items():
+        text = cli_out(capsys, "synth", "outcomes", "--n-correct", "500", "--n-incorrect", "300",
+                       "--seed", "3", *specs)
+        got[name] = sha(text)
+        path = tmp_path / f"{name.replace(' ', '.')}.jsonl"
+        path.write_text(text)
+        for mode in MODES:
+            got[f"{name} curve {mode}"] = cli_digest(capsys, "curve", str(path), "--mode", mode)
     for name, text in FEATURES.items():
         got[f"{name} features"] = written(write_feature_records,
                                           parse_feature_records(text.encode()))

@@ -293,6 +293,16 @@ class TestOutcomeSet:
         with pytest.raises(ValueError, match="empty"):
             OutcomeSet([], [])
 
+    def test_rejects_arrays_that_are_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="^outcome arrays must be one-dimensional$"):
+            OutcomeSet([[True, False]], [[0.9, 0.1]])
+        with pytest.raises(ValueError, match="^outcome arrays must be one-dimensional$"):
+            OutcomeSet([True], 0.9)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="^correct/confidence length mismatch$"):
+            OutcomeSet([True, False], [0.9])
+
     def test_rejects_out_of_range_confidence(self):
         with pytest.raises(ValueError, match="confidence out of range"):
             OutcomeSet([True], [1.5])

@@ -96,6 +96,5 @@ class TestShiftCritique:
 def test_score_report_bundles_values():
     s = OutcomeSet([True, False], [0.9, 0.2])
     report = score_outcomes(s)
-    assert report.n == 2
     assert report.cross_entropy == pytest.approx(cross_entropy(s))
     assert report.brier == pytest.approx(brier_score(s))

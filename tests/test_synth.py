@@ -42,6 +42,31 @@ class TestPortableRng:
         draws = [rng.randint(5) for _ in range(500)]
         assert set(draws) == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_randint_needs_a_positive_bound(self, monkeypatch, bound):
+        rng = PortableRng(3)
+        # no word can fall below such a bound, so a draw would reject forever
+        monkeypatch.setattr(rng, "next_u64", lambda: pytest.fail("randint drew a word"))
+        with pytest.raises(ValueError, match="^bound must be positive$"):
+            rng.randint(bound)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.normal(),
+        lambda rng: rng._gamma_and_log(0.5),  # the boost's uniform
+    ], ids=["normal", "gamma-boost"])
+    def test_a_zero_uniform_is_drawn_again(self, monkeypatch, draw):
+        # the first uniform is 0.0, whose log is -inf; the draw skips it and takes no word
+        rng = PortableRng(4)
+        calls = []
+
+        def random():
+            calls.append(None)
+            return 0.0 if len(calls) == 1 else PortableRng.random(rng)
+
+        monkeypatch.setattr(rng, "random", random)
+        assert draw(rng) == draw(PortableRng(4))
+        assert len(calls) > 1
+
     def test_normal_moments(self):
         rng = PortableRng(8)
         draws = np.array([rng.normal() for _ in range(20000)])
@@ -128,19 +153,21 @@ class TestConfidenceDist:
 
     def test_support_validation(self):
         with pytest.raises(ValueError, match="inside"):
-            ConfidenceDist.uniform(0.5, 1.5)
+            ConfidenceDist.parse("uniform:0.5,1.5")
         with pytest.raises(ValueError, match="positive"):
-            ConfidenceDist.beta(-1.0, 2.0)
+            ConfidenceDist.parse("beta:-1.0,2.0")
         with pytest.raises(ValueError, match="must lie in"):
-            ConfidenceDist.constant(1.1)
+            ConfidenceDist.parse("constant:1.1")
+        with pytest.raises(ValueError, match="^unknown distribution kind: 'gamma'$"):
+            ConfidenceDist("gamma", (1.0,))
 
 
 class TestGenOutcomes:
     def test_counts_respected_exactly(self):
         config = SynthOutcomeConfig(
             n_correct=17, n_incorrect=5,
-            correct_conf_dist=ConfidenceDist.uniform(0, 1),
-            incorrect_conf_dist=ConfidenceDist.uniform(0, 1), seed=1,
+            correct_conf_dist=ConfidenceDist.parse("uniform:0,1"),
+            incorrect_conf_dist=ConfidenceDist.parse("uniform:0,1"), seed=1,
         )
         out = gen_outcomes(config)
         assert int(np.sum(out.correct)) == 17
@@ -149,24 +176,24 @@ class TestGenOutcomes:
     def test_deterministic_per_seed(self):
         config = SynthOutcomeConfig(
             n_correct=50, n_incorrect=50,
-            correct_conf_dist=ConfidenceDist.beta(5, 2),
-            incorrect_conf_dist=ConfidenceDist.beta(2, 5), seed=44,
+            correct_conf_dist=ConfidenceDist.parse("beta:5,2"),
+            incorrect_conf_dist=ConfidenceDist.parse("beta:2,5"), seed=44,
         )
         assert gen_outcomes(config).confidence.tobytes() == gen_outcomes(config).confidence.tobytes()
 
     def test_separated_constants_give_auccc_one(self):
         config = SynthOutcomeConfig(
             n_correct=10, n_incorrect=10,
-            correct_conf_dist=ConfidenceDist.constant(0.9),
-            incorrect_conf_dist=ConfidenceDist.constant(0.1), seed=0,
+            correct_conf_dist=ConfidenceDist.parse("constant:0.9"),
+            incorrect_conf_dist=ConfidenceDist.parse("constant:0.1"), seed=0,
         )
         assert auccc_rank(gen_outcomes(config)) == 1.0
 
     def test_matched_uniforms_give_auccc_half(self):
         config = SynthOutcomeConfig(
             n_correct=10_000, n_incorrect=10_000,
-            correct_conf_dist=ConfidenceDist.uniform(0, 1),
-            incorrect_conf_dist=ConfidenceDist.uniform(0, 1), seed=5,
+            correct_conf_dist=ConfidenceDist.parse("uniform:0,1"),
+            incorrect_conf_dist=ConfidenceDist.parse("uniform:0,1"), seed=5,
         )
         assert 0.48 <= auccc_rank(gen_outcomes(config)) <= 0.52
 
@@ -174,8 +201,8 @@ class TestGenOutcomes:
         # P(U(0.5,1) > U(0,1)) = 0.75 by direct integration
         config = SynthOutcomeConfig(
             n_correct=20_000, n_incorrect=20_000,
-            correct_conf_dist=ConfidenceDist.uniform(0.5, 1),
-            incorrect_conf_dist=ConfidenceDist.uniform(0, 1), seed=6,
+            correct_conf_dist=ConfidenceDist.parse("uniform:0.5,1"),
+            incorrect_conf_dist=ConfidenceDist.parse("uniform:0,1"), seed=6,
         )
         assert auccc_rank(gen_outcomes(config)) == pytest.approx(0.75, abs=0.02)
 
@@ -183,8 +210,8 @@ class TestGenOutcomes:
         with pytest.raises(ValueError, match="at least 1"):
             SynthOutcomeConfig(
                 n_correct=0, n_incorrect=5,
-                correct_conf_dist=ConfidenceDist.constant(0.5),
-                incorrect_conf_dist=ConfidenceDist.constant(0.5),
+                correct_conf_dist=ConfidenceDist.parse("constant:0.5"),
+                incorrect_conf_dist=ConfidenceDist.parse("constant:0.5"),
             )
 
 
@@ -312,8 +339,8 @@ class TestTwoPassSplit:
 
 
 @pytest.mark.parametrize("build", [
-    lambda seed: SynthOutcomeConfig(1, 1, ConfidenceDist.constant(0.5),
-                                    ConfidenceDist.constant(0.5), seed=seed),
+    lambda seed: SynthOutcomeConfig(1, 1, ConfidenceDist.parse("constant:0.5"),
+                                    ConfidenceDist.parse("constant:0.5"), seed=seed),
     lambda seed: SynthUdistConfig(seed=seed),
     lambda seed: TrainConfig(seed=seed),
 ], ids=["outcomes", "udist", "train"])
