@@ -135,7 +135,11 @@ def _load_outcomes(args):
     if args.mode == "ood-unified":
         return derive_outcomes(table, source)
     if args.mode == "io-auroc":
-        return derive_io_outcomes(table, source)
+        outcomes = derive_io_outcomes(table, source)  # a missing confidence is reported first
+        if outcomes.correct.all() or not outcomes.correct.any():
+            kind = "out-of-distribution ('ood')" if outcomes.correct[0] else "in-distribution"
+            raise DegenerateOutcomesError(f"io-auroc mode: no {kind} record in input")
+        return outcomes
     raise ValueError(f"unknown mode: {args.mode!r}")
 
 
@@ -273,7 +277,7 @@ def cmd_synth_outcomes(args):
     # in-distribution records predicting class 0; the incorrect ones are of class 1
     table = RecordTable(ids=[f"s{i:06d}" for i in range(n)], pred=np.zeros(n, dtype=np.int64),
                         true=(~outcomes.correct).astype(np.int64), conf=outcomes.confidence,
-                        ood=np.zeros(n, dtype=bool), probs=None)
+                        ood=np.zeros(n, dtype=bool), probs=np.empty((n, 0)))
     return {args.out: write_records_jsonl(table)}, []
 
 
@@ -306,8 +310,15 @@ def cmd_synth_udist(args):
     return texts, [f"wrote {name}" for name in texts]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one ``error:`` line, as every other error is."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqkit",
         description="Confidence evaluation (CCC/AUCCC) and confidence distillation toolkit.",
     )
@@ -413,9 +424,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors; 2 is reserved for
-        # degenerate data here, so remap
+    except SystemExit as exc:  # --help, --version, or a usage error (1: 2 means degenerate)
         return 0 if exc.code == 0 else 1
     try:
         outputs, notes = args.func(args)

@@ -80,8 +80,8 @@ class PortableRng:
             if value < bound:
                 return value
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian draw via the Box-Muller transform."""
+    def normal(self) -> float:
+        """Standard Gaussian draw via the Box-Muller transform."""
         if self._spare_normal is not None:
             z = self._spare_normal
             self._spare_normal = None
@@ -93,7 +93,7 @@ class PortableRng:
             radius = math.sqrt(-2.0 * math.log(u1))
             z = radius * math.cos(2.0 * math.pi * u2)
             self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
-        return mean + std * z
+        return z
 
     def _gamma_and_log(self, shape: float) -> tuple[float, float]:
         """A Gamma(shape > 0, 1) draw via Marsaglia-Tsang, and its log.

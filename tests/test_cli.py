@@ -142,6 +142,21 @@ class TestEval:
         assert payload["n_correct"] == 3  # the id records, misclassified or not
         assert payload["n_incorrect"] == 2
 
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    @pytest.mark.parametrize("tag, kind", [
+        ("id", "out-of-distribution ('ood')"), ("ood", "in-distribution")])
+    def test_io_auroc_mode_names_the_kind_of_record_missing(self, tmp_path, capsys, command,
+                                                           tag, kind):
+        path = tmp_path / "one_kind.jsonl"
+        write_jsonl(path, [{"id": "a", "pred": 0, "true": 0, "conf": 0.9, "tag": tag},
+                           {"id": "b", "pred": 1, "true": 0, "conf": 0.2, "tag": tag}])
+        assert run(capsys, command, str(path), "--mode", "io-auroc") == (
+            2, "", f"error: degenerate outcomes: io-auroc mode: no {kind} record in input\n")
+        # a missing confidence is reported first, with exit 1
+        assert run(capsys, command, str(path), "--mode", "io-auroc",
+                   "--confidence-source", "max-softmax") == (
+            1, "", "error: record 'a': no probability vector\n")
+
     def test_multilabel_mode(self, tmp_path, capsys):
         path = tmp_path / "ml.jsonl"
         write_jsonl(

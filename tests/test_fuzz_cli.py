@@ -1,9 +1,11 @@
-"""Mutated input files never break the CLI's exit-code contract.
+"""Mutated input files and hostile flag values never break the CLI's exit-code contract.
 
-Each example takes a valid file of one kind, mutates its bytes, runs the
-command that reads it and checks that the command exits 0, 1 or 2 and,
-when it fails, prints exactly one ``error:`` line, no traceback, and
-leaves no output file or temporary behind.
+Each file example takes a valid file of one kind, mutates its bytes, runs
+the command that reads it and checks that the command exits 0, 1 or 2
+and, when it fails, prints exactly one ``error:`` line, no traceback, and
+leaves no output file or temporary behind. Each flag example runs a
+command on valid tiny files with hostile values in its numeric flags and
+``--*-dist`` specs, and checks the same.
 """
 
 import contextlib
@@ -127,14 +129,21 @@ def mutations(draw, data: bytes) -> bytes:
 
 def run_case(case: str, data: bytes) -> int:
     name, _clean, argv = CASES[case]
+    return run(argv, {**CLEAN, name: data})
+
+
+def run(argv: list[str], files: dict[str, bytes]) -> int:
+    """Run ``argv`` on ``files`` in a fresh directory and check the exit contract.
+
+    ``{stem}`` in an argument is the path of the file of that stem, and
+    ``{out}`` the output path.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {Path(n).stem: Path(tmp) / n for n in CLEAN}
-        for n, content in CLEAN.items():
+        paths = {Path(n).stem: Path(tmp) / n for n in files}
+        for n, content in files.items():
             (Path(tmp) / n).write_bytes(content)
-        target = Path(tmp) / name
-        target.write_bytes(data)
         out = Path(tmp) / "out"
-        args = [a.format(out=out, target=target, **paths) for a in argv]
+        args = [a.format(out=out, **paths) for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                 warnings.catch_warnings(record=True) as caught:
@@ -148,7 +157,7 @@ def run_case(case: str, data: bytes) -> int:
             assert err.startswith("error: ") and err.count("\n") == 1 and not caught, (err, caught)
         # the inputs, and the output only on success: no output or temporary left by a failure
         left = {p.name for p in Path(tmp).iterdir()}
-        assert left == set(CLEAN) | {name} | ({out.name} if code == 0 else set()), left
+        assert left == set(files) | ({out.name} if code == 0 else set()), left
         return code
 
 
@@ -164,5 +173,63 @@ def test_mutated_file_keeps_exit_contract(case):
     @given(data=mutations(CASES[case][1]))
     def check(data):
         run_case(case, data)
+
+    check()
+
+
+# hostile values for every numeric flag; a size flag takes only small ones and those
+# that are not integers, since a huge size would run for hours
+NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e308", str(2**64), str(-(2**63))]
+SIZES = ["-1", "0", "1", "2", "3", "nan", "inf", "-inf", "1e-300", "1e308"]
+SPECS = ["uniform:{0},{1}", "beta:{0},{1}", "constant:{0}"]
+
+# (command line on valid tiny files, its numeric and spec flags and the values each draws)
+FLAG_CASES = {
+    "eval-multi-label": (["eval", "{multilabel}", "--mode", "multi-label", "--curve-out", "{out}"],
+                         {"--threshold": NUMBERS}),
+    "ensemble": (["ensemble", "{member0}", "{member1}", "--out", "{out}"],
+                 {"--temperature": NUMBERS}),
+    "train": (TRAIN, {"--temperature-train": NUMBERS, "--lr": NUMBERS, "--seed": NUMBERS,
+                      "--epochs": SIZES, "--batch-size": SIZES}),
+    "predict": (PREDICT, {"--temperature": NUMBERS}),
+    "synth-outcomes": (["synth", "outcomes", "--n-correct", "2", "--n-incorrect", "2",
+                        "--out", "{out}"],
+                       {"--n-correct": SIZES, "--n-incorrect": SIZES, "--seed": NUMBERS,
+                        "--correct-dist": SPECS, "--incorrect-dist": SPECS}),
+    "synth-udist": (["synth", "udist", "--out-dir", "{out}", "--n-train", "3", "--n-test", "3"],
+                    {"--n-train": SIZES, "--n-test": SIZES, "--feature-dim": SIZES,
+                     "--classes": SIZES, "--members": SIZES, "--noise-scale": NUMBERS,
+                     "--signal-strength": NUMBERS, "--seed": NUMBERS}),
+}
+FLAG_FILES = {**CLEAN, "multilabel.jsonl": MULTI_LABEL}
+
+
+@st.composite
+def flag_value(draw, values: list[str]) -> str:
+    """One of ``values``; a spec's parameters are numbers."""
+    value = draw(st.sampled_from(values))
+    return value.format(*(draw(st.sampled_from(NUMBERS)) for _ in range(value.count("{"))))
+
+
+@st.composite
+def flag_args(draw, case: str, flag: str) -> list[str]:
+    """``flag`` and a few of the command's other flags, each with a value, in either form."""
+    flags = FLAG_CASES[case][1]
+    others = draw(st.permutations(sorted(set(flags) - {flag})))[: draw(st.integers(0, 3))]
+    args = []
+    for name in [flag, *others]:
+        value = draw(flag_value(flags[name]))
+        args += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return args
+
+
+@pytest.mark.parametrize("case, flag", [(case, flag) for case, (_, flags) in FLAG_CASES.items()
+                                        for flag in flags])
+def test_hostile_flag_values_keep_exit_contract(case, flag):
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(args=flag_args(case, flag))
+    def check(args):
+        run(FLAG_CASES[case][0] + args, FLAG_FILES)
 
     check()

@@ -14,6 +14,14 @@ or on the libm: the generator's uniform draws take integer and IEEE
 arithmetic only. So the digests hold on any machine. ``eval``'s JSON is
 left out: its cross entropy takes numpy's ``log``.
 
+A second table, ``PIPELINE_DIGESTS``, pins the README pipeline (``synth
+udist``, ``distill --train`` and ``--predict``, ``eval`` with each
+confidence source) and ``ensemble`` of its test members. These outputs
+pass through BLAS calls and numpy's CPU-dispatched kernels, so they are
+asserted only where the build fingerprint (numpy's version, the dispatch
+targets the CPU has, and the BLAS) matches ``PIPELINE_BUILD``; elsewhere
+the test skips and names the fingerprint it saw.
+
 A change that means to alter one of these outputs updates its digest and
 says which and why.
 """
@@ -165,11 +173,11 @@ DIGESTS = {
     'synth uniform': 'c2e9284a680d44fbe3d3d2951099707df9d94d7b3b34d97c38458215bfe2c7d6',
     'synth uniform curve standard': 'deb5ce8c45266459f78cc85f73541bf7a6f915b7bd4e791ffd7688b7e6eabda9',
     'synth uniform curve ood-unified': 'deb5ce8c45266459f78cc85f73541bf7a6f915b7bd4e791ffd7688b7e6eabda9',
-    'synth uniform curve io-auroc': 'exit 2: error: degenerate outcomes: all outcomes are correct: correct-reject rate is undefined',
+    'synth uniform curve io-auroc': "exit 2: error: degenerate outcomes: io-auroc mode: no out-of-distribution ('ood') record in input",
     'synth constant': '64db624e7e40658b66220887cb57c00de7c8ca0f156e4f56b7d58e4723a0f228',
     'synth constant curve standard': '649a992c60e8ee2e93ef37e2367b698c53935b0a0fe925b9ab354cb1b529b4b4',
     'synth constant curve ood-unified': '649a992c60e8ee2e93ef37e2367b698c53935b0a0fe925b9ab354cb1b529b4b4',
-    'synth constant curve io-auroc': 'exit 2: error: degenerate outcomes: all outcomes are correct: correct-reject rate is undefined',
+    'synth constant curve io-auroc': "exit 2: error: degenerate outcomes: io-auroc mode: no out-of-distribution ('ood') record in input",
     'canonical.features.jsonl features': '60def70e4a855e990e93b4cea5b59230bc2774cccd15ffbfd1353184c41b1014',
     'odd.features.jsonl features': '62b2f58abb11620a3f4bf2271d9e24eddc626f99c01853066ca769492d1bf142',
 }
@@ -235,6 +243,69 @@ def test_outputs_keep_their_digests(tmp_path, capsys):
     got = outputs(tmp_path, capsys)
     assert got.keys() == DIGESTS.keys()
     assert {name: got[name] for name in got if got[name] != DIGESTS[name]} == {}
+
+
+# the build the pipeline digests were recorded on (see build_fingerprint)
+PIPELINE_BUILD = {
+    "numpy": "2.4.6",
+    "cpu dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "blas": {"name": "scipy-openblas", "version": "0.3.31.188.0",
+             "openblas configuration": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                                       "NO_AFFINITY Haswell MAX_THREADS=64"},
+}
+PIPELINE_DIGESTS = {
+    "model.json": "2023daba90dfe1378be0f4626e8a63228559e87587e84297726fd5038afaadc7",
+    "preds.jsonl": "457d22f695ae382480ef170cb76fc7f6b4bd49056ad64117476b48fce9228d51",
+    "eval explicit": "da40b22f7726b84dd6e494c6a5c69de95d0291dd93afb24fda6f17556d441e59",
+    "eval max-softmax": "942b3763625bdec8060aa0cf47ed82a0f3b2deaefa09a82cd8160bd99eaf431f",
+    "ensemble": "8288712bb85b8ae8f28834fa613d4be8e3ef52174a72e08c1e233222f74878fd",
+}
+
+
+def build_fingerprint() -> dict:
+    """The numpy version, the dispatch targets this CPU has, and the BLAS's name and build."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dicts mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "cpu dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+        "blas": {key: blas.get(key) for key in PIPELINE_BUILD["blas"]},
+    }
+
+
+def pipeline_outputs(tmp_path, capsys) -> dict[str, str]:
+    """The digests of the README pipeline's outputs and of ensemble of its test members."""
+    task, model, preds = tmp_path / "task", tmp_path / "model.json", tmp_path / "preds.jsonl"
+    members = {split: [str(task / f"{split}.member{m}.jsonl") for m in range(4)]
+               for split in ("train", "test")}
+    cli_out(capsys, "synth", "udist", "--out-dir", str(task), "--seed", "7")
+    cli_out(capsys, "distill", "--train", str(task / "train.features.jsonl"),
+            "--ensemble-dirs", *members["train"], "--temperature-train", "8", "--seed", "0",
+            "--out", str(model))
+    cli_out(capsys, "distill", "--predict", "--model", str(model),
+            "--data", str(task / "test.features.jsonl"), "--ensemble-dirs", *members["test"],
+            "--temperature", "3", "--out", str(preds))
+    return {
+        "model.json": sha(model.read_text()),
+        "preds.jsonl": sha(preds.read_text()),
+        **{f"eval {source}": sha(cli_out(capsys, "eval", str(preds), "--confidence-source",
+                                         source)) for source in SOURCES},
+        "ensemble": sha(cli_out(capsys, "ensemble", *members["test"])),
+    }
+
+
+def test_pipeline_outputs_keep_their_digests(tmp_path, capsys):
+    fingerprint = build_fingerprint()
+    if fingerprint != PIPELINE_BUILD:
+        pytest.skip(f"digests recorded on another numpy build or CPU; this one is {fingerprint}")
+    got = pipeline_outputs(tmp_path, capsys)
+    assert {name: got[name] for name in got if got[name] != PIPELINE_DIGESTS[name]} == {}
 
 
 def large_shaped(n: int = 400, k: int = 10, seed: int = 5) -> tuple[str, str]:

@@ -376,6 +376,28 @@ def test_ragged_and_mixed_rows_keep_their_probabilities():
     assert math.isnan(table.probs[0, 2])
 
 
+@pytest.mark.parametrize("chunk", [2048, 2])
+@pytest.mark.parametrize("fmt", list(RecordFormat))
+def test_a_file_without_probabilities_has_no_probability_columns(monkeypatch, fmt, chunk):
+    monkeypatch.setattr(records, "_PARSE_CHUNK", chunk)
+    rows = [(f"r{i}", i % 2, i % 3, 0.25 * i) for i in range(5)]
+    if fmt is RecordFormat.CSV:
+        text = "id,pred,true,conf,tag\n" + "".join(f"{r},{p},{t},{c},id\n" for r, p, t, c in rows)
+    else:
+        text = "".join(json.dumps({"id": r, "pred": p, "true": t, "conf": c}) + "\n"
+                       for r, p, t, c in rows)
+    table = parse_records(text, fmt)
+    assert table.probs.shape == (5, 0) and table.probs.dtype == np.float64
+    assert table.take(table.true > 0).probs.shape == (3, 0)
+    assert [rec.probs for rec in table[1:3]] == [None, None]
+    assert table.prob_counts().tolist() == [0] * 5
+    assert parse_records("", fmt).probs.shape == (0, 0)
+    assert parse_records(records.write_records_jsonl(table)) == table
+    assert derive_outcomes(table).confidence.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(RecordError, match="^record 'r0': no probability vector$"):
+        derive_outcomes(table, ConfidenceSource.MAX_SOFTMAX)
+
+
 @pytest.mark.parametrize(
     "data, fmt, message",
     [('{"id":"a","pred":0,"true":0,"conf":0.5}\n{"id":"b","pred":-5,"true":0,"conf":0.9}\n',
@@ -416,7 +438,8 @@ def test_listing_a_table_checks_its_rows_once():
     assert sliced == listed[5::7] and table[-1] == listed[-1]
     # a slice is checked on its own rows: a faulty row outside it does not raise
     faulty = RecordTable(ids=["a", "b"], pred=np.array([0, 0]), true=np.array([0, 0]),
-                         conf=np.array([0.5, 2.0]), ood=np.array([False, False]), probs=None)
+                         conf=np.array([0.5, 2.0]), ood=np.array([False, False]),
+                         probs=np.empty((2, 0)))
     assert faulty[:1] == [PredictionRecord("a", 0, None, 0, 0.5)]
     with pytest.raises(RecordError, match="record 'b': confidence out of range"):
         list(faulty)
