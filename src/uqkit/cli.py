@@ -238,8 +238,6 @@ def cmd_distill(args):
         records = _probability_records(ids, softened, labels, ood, conf, labelled=True)
         return {"-" if args.out is None else args.out: write_records_jsonl(records)}, []
 
-    if args.train is None:
-        raise ValueError("either --train or --predict is required")
     if args.out is None:
         raise ValueError("--train needs --out for the model file")
     config = TrainConfig(
@@ -364,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_dist = sub.add_parser("distill", help="train or apply a cascade confidence model")
-    p_dist.add_argument("--train", default=None, help="feature file for training")
-    p_dist.add_argument("--predict", action="store_true", help="apply a trained model")
+    train_or_predict = p_dist.add_mutually_exclusive_group(required=True)
+    train_or_predict.add_argument("--train", default=None, help="feature file for training")
+    train_or_predict.add_argument("--predict", action="store_true", help="apply a trained model")
     p_dist.add_argument("--model", default=None, help="model JSON (predict mode)")
     p_dist.add_argument("--data", default=None, help="feature file to score (predict mode)")
     p_dist.add_argument(

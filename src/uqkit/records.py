@@ -26,13 +26,14 @@ a sequence of its records: iterating or slicing checks the rows once on
 the columns and builds records that do not check themselves again, while
 ``table[i]`` builds a record that does.
 
-A reader takes ``_PARSE_CHUNK`` non-blank lines (or CSV rows) at a time,
-and each chunk becomes columns. Each JSON Lines line is decoded once
-(:func:`_json_row`); the CSV reader reads the text's lines as
-``io.StringIO`` yields them, each ended by a line feed only, without
-copying the text. In both formats a line that does not decode becomes a
-fault row, its :class:`RecordError`, which the chunk's conversion raises
-in the line's place. Each kind's table has one builder, ``_of_columns``,
+Each format yields its non-blank rows, each after the line it starts on:
+:func:`_json_rows` decodes each JSON Lines line once (:func:`_json_row`),
+and :func:`_csv_rows` reads the text's lines as ``io.StringIO`` yields
+them, each ended by a line feed only, without copying the text (a row
+whose quoted cell holds a line feed spans lines). A line that does not
+decode becomes a fault row, its :class:`RecordError`, raised in its row's
+place. :func:`_read` takes ``_PARSE_CHUNK`` rows at a time, and each
+chunk becomes columns. Each kind's table has one builder, ``_of_columns``,
 which takes one list per record field and pads vector fields into a
 block (:func:`_padded`), NaN for a float and 0 for a label; a missing
 prediction ``pred`` is filled there alone, with the first argmax of the
@@ -45,10 +46,10 @@ too; every chunk and every record list then becomes columns in
 ``_of_columns``. Each kind states its invariants once, as an array check
 (``_first_fault``) that gives the first failing row and its message; the
 record classes run the same check on a one-row table. The reader raises
-the earliest fault in file order, naming its line. At one row, a line
-that does not decode comes first, then a value that does not convert (an
-array field that is not a JSON array among them), then the invariants in
-the record class's order, then a repeated id.
+the earliest fault in file order, naming the line its row starts on. At
+one row, a line that does not decode comes first, then a value that does
+not convert (an array field that is not a JSON array among them), then
+the invariants in the record class's order, then a repeated id.
 
 Each rule is written once. ``_TAG_IS_OOD`` lists the accepted raw tags,
 and every reader, table and record class reads tags through it. A
@@ -83,7 +84,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, islice, starmap
+from itertools import accumulate, chain, compress, islice, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -215,8 +216,9 @@ def _unchecked(cls: type, values: tuple):
 class PredictionRecord:
     """One classifier decision plus its confidence signals.
 
-    Raises :class:`RecordError` on construction for an empty probability
-    vector, or if any invariant of :meth:`RecordTable._first_fault` fails.
+    Raises :class:`RecordError` on construction as the reader does: for no
+    ``pred_label`` and no ``probs``, a fractional or boolean label, an empty
+    probability vector, or a failed invariant of :meth:`RecordTable._first_fault`.
     """
 
     instance_id: str
@@ -227,6 +229,9 @@ class PredictionRecord:
     dist_tag: DistTag = DistTag.IN_DISTRIBUTION
 
     def __post_init__(self) -> None:
+        if self.pred_label is None and self.probs is None:
+            raise RecordError(f"record {self.instance_id!r}: need 'pred' or 'probs'")
+        _whole_labels(self.instance_id, self.pred_label, self.true_label)
         _nonempty(self.instance_id, self.probs, "probability")
         _checked(RecordTable._of_rows([_row_of(self)]))
 
@@ -433,8 +438,8 @@ def _sums_within_tolerance(probs: np.ndarray) -> np.ndarray:
 class MultiLabelRecord:
     """Independent per-class probabilities with binary ground truths.
 
-    Raises :class:`RecordError` on construction if any invariant of
-    :meth:`MultiLabelTable._first_fault` fails.
+    Raises :class:`RecordError` on construction as the reader does: for a fractional
+    or boolean truth, or a failed invariant of :meth:`MultiLabelTable._first_fault`.
     """
 
     instance_id: str
@@ -443,6 +448,7 @@ class MultiLabelRecord:
     dist_tag: DistTag = DistTag.IN_DISTRIBUTION
 
     def __post_init__(self) -> None:
+        _whole_labels(self.instance_id, *(self.true_labels or ()))  # None: the check words it
         _checked(MultiLabelTable._of_rows([_row_of(self)]))
 
 
@@ -637,64 +643,53 @@ def _json_row(line: str) -> dict | RecordError:
     return obj if isinstance(obj, dict) else RecordError("expected a JSON object")
 
 
-def _jsonl_chunks(text: str) -> Iterator[tuple[list[int], list]]:
-    """Each run of up to ``_PARSE_CHUNK`` non-blank lines: line numbers, and rows.
+def _json_rows(text: str) -> Iterator[int | dict | RecordError]:
+    """Each non-blank line's number, then its row: its object, or a fault row (:func:`_json_row`).
 
-    Lines end at a line feed only (a carriage return before it is JSON
-    whitespace), so the U+2028, U+2029 and U+0085 that JSON allows raw
-    inside strings stay put. Each line is decoded once (:func:`_json_row`):
-    its row is its object, or a fault row, the :class:`RecordError` of a
-    line that is not one JSON object.
+    Lines end at a line feed only (a carriage return before it is JSON whitespace),
+    so the U+2028, U+2029 and U+0085 that JSON allows raw inside strings stay put.
     """
-    lines = text.split("\n")
-    numbered = [n for n, line in enumerate(lines, start=1) if line and not line.isspace()]
-    for start in range(0, len(numbered), _PARSE_CHUNK):
-        linenos = numbered[start : start + _PARSE_CHUNK]
-        yield linenos, [_json_row(lines[n - 1]) for n in linenos]
+    for n, line in enumerate(text.split("\n"), start=1):
+        if line and not line.isspace():
+            yield n
+            yield _json_row(line)
 
 
-def _csv_chunks(reader) -> Iterator[tuple[list[int], list]]:
-    """The CSV reader's non-blank rows after the header, ``_PARSE_CHUNK`` rows at a time.
-
-    Yields line numbers (the header is line 1, and each row after it counts
-    one line) and rows; a run of blank rows alone yields nothing. A row that
-    the csv module cannot read (a cell over its size limit, say) becomes a
-    fault row, its :class:`RecordError`, on the reader's line; it ends the
-    rows read.
+def _csv_rows(reader) -> Iterator[int | list[str] | RecordError]:
+    """The line each non-blank row after the header starts on (a row spans lines where
+    a quoted cell holds a line feed), then the row. A row the csv module cannot read
+    (a cell over its size limit, say) is a fault row, its :class:`RecordError`, and ends
+    the rows read.
     """
-    line = 1
-    while True:
-        block = []
-        try:
-            block.extend(islice(reader, _PARSE_CHUNK))  # keeps the rows read before an error
-        except csv.Error as exc:
-            block.append(RecordError(f"malformed CSV ({exc})"))
-        if not block:
-            return
-        linenos = [line + j for j, row in enumerate(block, start=1) if row]
-        if isinstance(block[-1], RecordError):
-            linenos[-1] = reader.line_num
-        line += len(block)
-        if linenos:
-            yield linenos, [row for row in block if row]
+    start = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield start
+                yield row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        yield start
+        yield RecordError(f"malformed CSV ({exc})")
 
 
-def _read(chunks, cls: type, canonical, convert):
-    """One ``cls`` table of the chunks' rows; the earliest fault in file order raises.
+def _read(numbered: Iterator, cls: type, canonical, convert):
+    """One ``cls`` table of the numbered rows; the earliest fault in file order raises.
 
-    ``chunks`` yields each chunk's line numbers and rows, at least one row
-    per chunk; a row is a decoded line, or a fault row, the
+    ``numbered`` yields, in file order, the line each row starts on, which its
+    fault names, then the row: a decoded line, or a fault row, the
     :class:`RecordError` of a line that does not decode. ``canonical(rows)``
-    builds the table of a canonical chunk, one whose values all have the
-    types ``convert`` gives, with ``cls._of_columns``, or gives None; a chunk
-    that holds a fault row is not canonical. Any other chunk is converted
-    row by row by ``convert`` and built by ``cls._of_rows``; a fault row, or
-    the :class:`RecordError` of a row that does not convert, is that row's
-    fault. The columns are then checked by ``cls._first_fault``, and the ids
-    of all rows by one set.
+    builds the table of a chunk of ``_PARSE_CHUNK`` rows that is canonical, its
+    values all of the types ``convert`` gives, with ``cls._of_columns``, or gives
+    None; a chunk that holds a fault row is not canonical. Any other chunk is
+    converted row by row by ``convert`` and built by ``cls._of_rows``; a fault
+    row, or the :class:`RecordError` of a row that does not convert, is that row's
+    fault. The columns are then checked by ``cls._first_fault``, and the ids of
+    all rows by one set.
     """
     tables, ids, lines = [], [], []
-    for chunk_lines, rows in chunks:
+    while chunk := list(islice(numbered, 2 * _PARSE_CHUNK)):
+        chunk_lines, rows = chunk[::2], chunk[1::2]  # a tuple per row would add collector passes
         try:  # a failed build (an unknown tag, a label past 64 bits) is not canonical either
             built = None if RecordError in map(type, rows) else canonical(rows)
         except (TypeError, ValueError, OverflowError):
@@ -724,7 +719,7 @@ def _read(chunks, cls: type, canonical, convert):
     return cls._stacked(tables)
 
 
-def _unrepeated(ids: list[str], lines: Sequence[int]) -> None:
+def _unrepeated(ids: list[str], lines: Iterable[int]) -> None:
     """Raise for the first id that repeats an earlier one, naming both lines."""
     if len(set(ids)) < len(ids):
         first: dict[str, int] = {}
@@ -756,6 +751,15 @@ def _no_booleans(*fields) -> None:
     for field in fields:
         if bool in map(type, field if isinstance(field, list) else (field,)):
             raise RecordError("boolean where a number is expected")
+
+
+def _whole_labels(rid: str, *labels) -> None:
+    """Reject a fractional or boolean label as the reader does, naming the record."""
+    try:
+        _integral(*labels)
+        _no_booleans(*labels)
+    except RecordError as exc:
+        raise RecordError(f"record {rid!r}: {exc}") from None
 
 
 _NOT_ID = {dict: "an object", list: "an array", bool: "a boolean"}
@@ -853,16 +857,6 @@ def _csv_columns(rows: list[list[str]], n_cells: int) -> tuple | None:
     )
 
 
-def _csv_header(reader) -> list[str] | None:
-    """The CSV reader's header row, checked; None for empty text."""
-    header = next(reader, None)
-    if header is not None:
-        expected = list(_FIELDS) + [f"p{k}" for k in range(len(header) - len(_FIELDS))]
-        if header != expected:
-            raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
-    return header
-
-
 # a line as ``io.StringIO`` yields it: up to and with a line feed, or the text's unended tail
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
@@ -877,14 +871,17 @@ def parse_records(stream, fmt: RecordFormat = RecordFormat.JSON_LINES) -> Record
         raise ValueError(f"unknown record format: {fmt!r}")
     text = _as_text(stream)
     if fmt is RecordFormat.JSON_LINES:
-        return _read(_jsonl_chunks(text), RecordTable, _jsonl_columns, _jsonl_prediction)
+        return _read(_json_rows(text), RecordTable, _jsonl_columns, _jsonl_prediction)
     reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
-        header = _csv_header(reader)
+        header = next(reader, None)  # None for empty text
     except csv.Error as exc:
         raise RecordError(f"line {reader.line_num}: malformed CSV ({exc})") from None
     n_cells = len(header or ())
-    return _read(_csv_chunks(reader) if header else (), RecordTable,
+    expected = list(_FIELDS) + [f"p{k}" for k in range(n_cells - len(_FIELDS))]
+    if header is not None and header != expected:
+        raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
+    return _read(_csv_rows(reader), RecordTable,
                  partial(_csv_columns, n_cells=n_cells), partial(_csv_prediction, n_cells=n_cells))
 
 
@@ -926,7 +923,7 @@ def parse_multilabel_records(stream) -> MultiLabelTable:
     "tag": "id"|"ood"}``. Raises :class:`RecordError` naming the first
     offending line.
     """
-    return _read(_jsonl_chunks(_as_text(stream)), MultiLabelTable, _multilabel_columns,
+    return _read(_json_rows(_as_text(stream)), MultiLabelTable, _multilabel_columns,
                  _multilabel_row)
 
 
@@ -965,7 +962,7 @@ def parse_feature_records(stream) -> FeatureTable:
     One object per line: ``{"id": str, "features": [...], "true": int}``,
     every feature finite.
     """
-    return _read(_jsonl_chunks(_as_text(stream)), FeatureTable, _feature_columns, _feature_row)
+    return _read(_json_rows(_as_text(stream)), FeatureTable, _feature_columns, _feature_row)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,19 +998,19 @@ def _interleaved(parts: list) -> str:
 def _array_parts(key: str, values: np.ndarray, present: np.ndarray) -> list:
     """``key`` and a JSON array of each row's present values, as parts; none drops the key."""
     has = present.any(axis=1)
+    if not has.any():
+        return []
     cells = np.where(present, _float_text(values), "")
     # a comma before each present value that follows another
     cells = np.where(present & (np.cumsum(present, axis=1) > 1), "," + cells, cells)
     return [np.where(has, key + "[", ""), *cells.T, np.where(has, "]", "")]
 
 
-def _written_table(records: Iterable[PredictionRecord], first_line: int) -> RecordTable:
-    """The records as one table, checked as parsing checks it, its first row on ``first_line``."""
+def _written_table(records: Iterable[PredictionRecord]) -> RecordTable:
+    """The records as one table, its rows checked as parsing checks them."""
     if isinstance(records, RecordTable):
         records._check()
-    table = RecordTable.from_records(records)
-    _unrepeated(table.ids, range(first_line, first_line + len(table)))
-    return table
+    return RecordTable.from_records(records)
 
 
 def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
@@ -1024,7 +1021,8 @@ def write_records_jsonl(records: Iterable[PredictionRecord]) -> str:
     ``true``, ``conf`` and ``tag``, in that order and without spaces; a
     row without probabilities, true label or confidence drops that key.
     """
-    table = _written_table(records, 1)
+    table = _written_table(records)
+    _unrepeated(table.ids, range(1, len(table) + 1))
     true, conf = table.true >= 0, ~np.isnan(table.conf)
     return _interleaved([
         '{"id":', list(map(json.dumps, table.ids)),
@@ -1059,7 +1057,9 @@ def write_feature_records(records: Sequence[FeatureRecord]) -> str:
 
 def write_records_csv(records: Iterable[PredictionRecord]) -> str:
     """Serialize records to CSV; probability columns sized to the widest record."""
-    table = _written_table(records, 2)  # after the header
+    table = _written_table(records)
+    # a row starts after the header and the lines of the rows before it; only an id holds a "\n"
+    _unrepeated(table.ids, accumulate((1 + rid.count("\n") for rid in table.ids), initial=2))
     counts = table.prob_counts()
     k = int(counts.max(initial=0))
     if ((counts > 0) & (counts != k)).any():

@@ -13,6 +13,8 @@ files are read one line at a time, each record checked by scalar code.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -144,9 +146,6 @@ def features_jsonl(records) -> str:
 
 def records_csv(records) -> str:
     """Prediction-record CSV, one ``repr`` per number, through the csv module row by row."""
-    import csv
-    import io
-
     n_probs = max((len(r.probs) for r in records if r.probs is not None), default=0)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -420,9 +419,6 @@ def _csv_prediction(row: list, n_cells: int) -> Prediction:
 
 
 def _csv_predictions(text: str) -> list:
-    import csv
-    import io
-
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
@@ -431,10 +427,25 @@ def _csv_predictions(text: str) -> list:
         expected = list(_FIELDS) + [f"p{k}" for k in range(len(header) - len(_FIELDS))]
         if header != expected:
             raise RecordError(f"line 1: bad CSV header, expected {','.join(expected)}")
-        rows = ((f"line {n}", row) for n, row in enumerate(reader, start=2) if row)
-        return _located(rows, lambda row: _csv_prediction(row, len(header)))
     except csv.Error as exc:
         raise RecordError(f"line {reader.line_num}: malformed CSV ({exc})") from None
+    return _located(_csv_rows(reader), lambda row: _csv_prediction(row, len(header)))
+
+
+def _csv_rows(reader):
+    """Yield ``("line N", row)`` for each non-blank row, N the line the row starts on.
+
+    A quoted cell may hold a line break, so a row may span lines; a row the
+    csv module cannot read raises on its first line.
+    """
+    start = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield f"line {start}", row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise RecordError(f"line {start}: malformed CSV ({exc})") from None
 
 
 def scalar_records(text: str, fmt: str = "jsonl") -> list:

@@ -120,6 +120,16 @@ class TestEval:
         assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
         assert not curve_path.exists()
 
+    def test_input_format_overrides_the_file_name(self, tmp_path, capsys):
+        text = "id,pred,true,conf,tag\na,0,0,0.9,id\nb,1,0,0.4,id\nc,0,0,0.8,id\n"
+        (tmp_path / "x.csv").write_text(text)
+        (tmp_path / "x.txt").write_text(text)
+        code, want, err = run(capsys, "eval", str(tmp_path / "x.csv"))
+        assert code == 0, err
+        assert run(capsys, "eval", str(tmp_path / "x.txt"), "--input-format", "csv") == (0, want, "")
+        code, _, err = run(capsys, "eval", str(tmp_path / "x.txt"))  # read as JSON Lines
+        assert code == 1 and err.startswith("error: line 1: malformed JSON")
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "eval", "/nonexistent/path.jsonl")
         assert code == 1
@@ -473,13 +483,25 @@ class TestDistillCli:
         assert code == 1
         assert "--out" in err
 
+    def test_train_and_predict_together_are_refused(self, task_dir, tmp_path, capsys):
+        out = tmp_path / "preds.jsonl"
+        code, stdout, err = run(
+            capsys, "distill", "--train", str(task_dir / "train.features.jsonl"), "--predict",
+            "--model", str(tmp_path / "model.json"), "--data", str(task_dir / "test.features.jsonl"),
+            "--ensemble-dirs", *member_args(task_dir, "test"), "--out", str(out),
+        )
+        assert (code, stdout, err) == (
+            1, "", "error: uqkit distill: argument --predict: not allowed with argument --train\n")
+        assert not out.exists()
+
     def test_train_or_predict_is_required(self, task_dir, tmp_path, capsys):
         out = tmp_path / "model.json"
         code, stdout, err = run(
             capsys, "distill", "--ensemble-dirs", *member_args(task_dir, "train"),
             "--out", str(out),
         )
-        assert (code, stdout, err) == (1, "", "error: either --train or --predict is required\n")
+        assert (code, stdout, err) == (
+            1, "", "error: uqkit distill: one of the arguments --train --predict is required\n")
         assert not out.exists()
 
     def test_predict_probs_equal_ensemble_probs(self, task_dir, tmp_path, capsys):

@@ -65,7 +65,8 @@ FAULTS = {
 }
 
 # shape variants that are valid but leave the canonical path: the scalar path reads them
-VARIANTS = ["ragged", "mixed-probs", "string-numbers", "integer-id", "float-label", "no-pred"]
+VARIANTS = ["ragged", "mixed-probs", "string-numbers", "integer-id", "float-label", "no-pred",
+            "multi-line-id"]
 
 
 @st.composite
@@ -119,6 +120,8 @@ def record_files(draw):
             row["pred"] = float(row["pred"])
         elif variant == "no-pred" and "probs" in row:
             del row["pred"]
+        elif variant == "multi-line-id":  # a CSV row of two lines: the rows after it move down
+            row["id"] = f"r{i}\nx"
     rows = [{key: value for key, value in row.items() if value is not None} for row in rows]
     return rows, canonical
 
@@ -136,8 +139,8 @@ def as_csv(rows) -> bytes | None:
         if not isinstance(probs, list):
             return None
         cells = [row.get(key, "") for key in ("id", "pred", "true", "conf", "tag")] + probs
-        lines.append(",".join("" if c is None else repr(c) if isinstance(c, float) else str(c)
-                              for c in cells))
+        lines.append(",".join("" if c is None else repr(c) if isinstance(c, float)
+                              else f'"{c}"' if "\n" in str(c) else str(c) for c in cells))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -425,6 +428,28 @@ def test_csv_cells_keep_all_but_line_feeds(tail):
         assert want.startswith("RecordError: line 6: malformed CSV (new-line character seen")
     else:
         assert [row[0] for row in want] == ["a\r\u2028\x0bb", "c\nd", "e"]
+
+
+# CSV files whose first data row spans lines 2 and 3, and the error each raises
+MULTI_LINE_ROWS = {
+    "fault-after": ('"a\nb",0,0,0.5,id\nc,0,0,1.5,id\n',
+                    "line 4: record 'c': confidence out of range"),
+    "duplicate-after": ('"x\ny",0,0,0.5,id\nz,0,0,0.5,id\nz,0,0,0.5,id\n',
+                        "line 5: duplicate id 'z' (first on line 4)"),
+    "malformed": ('"a\nb",0,0,0.5,i\rd\nc,0,0,0.5,id\n',
+                  "line 2: malformed CSV (new-line character seen in unquoted field"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2048])
+@pytest.mark.parametrize("name", sorted(MULTI_LINE_ROWS))
+def test_a_csv_row_names_the_line_it_starts_on(monkeypatch, name, chunk):
+    monkeypatch.setattr(records, "_PARSE_CHUNK", chunk)
+    body, message = MULTI_LINE_ROWS[name]
+    text = "id,pred,true,conf,tag\n" + body
+    want = outcome(lambda: oracles.scalar_records(text, "csv"))
+    assert want.startswith(f"RecordError: {message}")
+    assert outcome(lambda: parse_records(text, RecordFormat.CSV)) == want
 
 
 def test_listing_a_table_checks_its_rows_once():

@@ -111,6 +111,11 @@ class TestParsing:
         with pytest.raises(RecordError, match="partial probability"):
             parse_records(text, RecordFormat.CSV)
 
+    def test_a_format_that_is_not_a_member_is_refused(self):
+        # the value of RecordFormat.JSON_LINES, not the member: read as CSV, it would parse
+        with pytest.raises(ValueError, match="unknown record format: 'jsonl'"):
+            parse_records('{"id":"a","pred":0,"true":0}\n', "jsonl")
+
     def test_invalid_utf8(self):
         with pytest.raises(RecordError, match="UTF-8"):
             parse_records(b"\xff\xfe", RecordFormat.JSON_LINES)
@@ -237,6 +242,34 @@ def test_csv_duplicate_id_names_both_lines():
         parse_records(text, RecordFormat.CSV)
 
 
+@pytest.mark.parametrize("build, parse, line, message", [
+    (lambda: PredictionRecord("a", 1.5, None, 1, 0.5), parse_records,
+     '{"id":"a","pred":1.5,"true":1,"conf":0.5}', "label 1.5 is not an integer"),
+    (lambda: PredictionRecord("a", 0, None, 0.5, 0.5), parse_records,
+     '{"id":"a","pred":0,"true":0.5,"conf":0.5}', "label 0.5 is not an integer"),
+    (lambda: PredictionRecord("a", True, None, 1, 0.5), parse_records,
+     '{"id":"a","pred":true,"true":1,"conf":0.5}', "boolean where a number is expected"),
+    (lambda: PredictionRecord("a", None), parse_records, '{"id":"a"}', "need 'pred' or 'probs'"),
+    (lambda: MultiLabelRecord("a", (0.5,), (1.5,)), parse_multilabel_records,
+     '{"id":"a","probs":[0.5],"truths":[1.5]}', "label 1.5 is not an integer"),
+    (lambda: MultiLabelRecord("a", (0.5,), (True,)), parse_multilabel_records,
+     '{"id":"a","probs":[0.5],"truths":[true]}', "boolean where a number is expected"),
+], ids=["fractional-pred", "fractional-true", "boolean-pred", "no-pred-or-probs",
+        "fractional-truth", "boolean-truth"])
+def test_record_constructors_reject_what_the_reader_rejects(build, parse, line, message):
+    with pytest.raises(RecordError) as built:
+        build()
+    assert str(built.value) == f"record 'a': {message}"
+    with pytest.raises(RecordError) as read:
+        parse(line)
+    assert str(read.value) == f"line 1: {message}"
+
+
+def test_a_multilabel_record_without_truths_stays_a_record_error():
+    with pytest.raises(RecordError, match=r"^record 'a': 1 probs vs 0 truths$"):
+        MultiLabelRecord("a", (0.5,), None)
+
+
 class TestRoundTrip:
     def make_records(self):
         return [
@@ -281,6 +314,18 @@ class TestRoundTrip:
     def test_feature_writer_rejects_repeated_ids(self):
         with pytest.raises(RecordError, match=r"^line 2: duplicate id 'a' \(first on line 1\)$"):
             write_feature_records([FeatureRecord("a", (1.0,), 0)] * 2)
+
+    def test_csv_writer_numbers_a_row_by_the_line_it_starts_on(self):
+        # an id holding a line feed is written as a quoted cell over two lines
+        records = [rec("x\ny", conf=0.5), rec("z", conf=0.5), rec("z", conf=0.25)]
+        message = "line 5: duplicate id 'z' (first on line 4)"
+        with pytest.raises(RecordError) as written:
+            write_records_csv(records)
+        assert str(written.value) == message
+        text = write_records_csv(records[:2]) + write_records_csv(records[2:]).split("\n", 1)[1]
+        with pytest.raises(RecordError) as read:
+            parse_records(text, RecordFormat.CSV)
+        assert str(read.value) == message
 
     def test_csv_rejects_mixed_class_counts(self):
         records = [rec("a", probs=(0.7, 0.3)), rec("b", probs=(0.2, 0.3, 0.5), pred=2)]
